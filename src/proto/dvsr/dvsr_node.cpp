@@ -6,12 +6,10 @@ namespace idr {
 
 std::optional<std::vector<AdId>> DvsrNode::source_route(
     const FlowSpec& flow) const {
-  const std::vector<IdrpRoute>* candidates = routes(flow.dst);
-  if (!candidates) return std::nullopt;
   const SourcePolicy& sp = policies().source_policy(self());
 
   const IdrpRoute* best = nullptr;
-  for (const IdrpRoute& route : *candidates) {
+  for (const IdrpRoute& route : routes(flow.dst)) {
     if (route.path.empty()) continue;
     if (!route.attrs.permits(flow)) continue;
     if (route.path.size() + 1 > sp.max_hops) continue;

@@ -78,28 +78,96 @@ RouteAttrs RouteAttrs::decode(wire::Reader& r) {
 
 void IdrpRoute::encode(wire::Writer& w) const {
   w.u32(dst.v);
-  std::vector<std::uint32_t> raw;
-  raw.reserve(path.size());
-  for (AdId ad : path) raw.push_back(ad.v);
-  w.u32_list(raw);
+  // The path is a u16-length-prefixed u32 list (Writer::u32_list layout),
+  // written straight from the AdIds.
+  IDR_CHECK_MSG(path.size() <= 0xffff, "path too long for u16 length prefix");
+  w.u16(static_cast<std::uint16_t>(path.size()));
+  for (AdId ad : path) w.u32(ad.v);
   attrs.encode(w);
 }
 
 std::optional<IdrpRoute> IdrpRoute::decode(wire::Reader& r) {
   IdrpRoute route;
   route.dst = AdId{r.u32()};
-  for (std::uint32_t v : r.u32_list()) route.path.push_back(AdId{v});
+  const std::uint16_t len = r.u16();
+  // Reserve no more than the buffer can hold: the length is wire input.
+  route.path.reserve(std::min<std::size_t>(len, r.remaining() / 4));
+  for (std::uint16_t i = 0; i < len && r.ok(); ++i) {
+    route.path.push_back(AdId{r.u32()});
+  }
   route.attrs = RouteAttrs::decode(r);
   if (!r.ok()) return std::nullopt;
   return route;
 }
 
+namespace {
+
+// Signature of one destination's selected route set (a change = one flap
+// for damping, and an advertisable change for the RIB signature).
+std::uint64_t dst_routes_signature(std::uint32_t dst,
+                                   const IdrpNode::RouteView& routes) {
+  std::uint64_t s = dst;
+  for (const IdrpRoute& route : routes) {
+    for (AdId ad : route.path) s = splitmix64(s) ^ ad.v;
+    s = splitmix64(s) ^ route.attrs.cost;
+    s = splitmix64(s) ^ route.attrs.qos_mask;
+    s = splitmix64(s) ^ route.attrs.uci_mask;
+    s = splitmix64(s) ^ route.attrs.hour_mask;
+    s = splitmix64(s) ^
+        (route.attrs.sources.is_any() ? 0xffffu
+                                      : route.attrs.sources.members().size());
+    for (AdId m : route.attrs.sources.members()) s = splitmix64(s) ^ m.v;
+  }
+  return s;
+}
+
+// A destination's term in the order-independent RIB signature.
+std::uint64_t mix(std::uint64_t sig) noexcept { return splitmix64(sig); }
+
+constexpr std::uint64_t kRibSignatureSeed = 0x9e3779b97f4a7c15ULL;
+
+}  // namespace
+
+// Destinations an event touched, plus the reselection's scratch. One per
+// thread, reused: a reselection allocates nothing once it is warm.
+struct IdrpNode::Touched {
+  DenseMap<std::uint32_t, std::uint32_t> slot;  // dst -> position in dsts
+  std::vector<std::uint32_t> dsts;              // first-touch order
+  bool reorder = false;  // the loc-RIB encode order must be recomputed
+  std::vector<std::vector<RouteRef>> cands;  // per touched dst
+  std::vector<RouteRef> kept;
+  // Damping flaps: (loc-RIB position, dst) of changed resp. withdrawn
+  // destinations, noted in the order a full rebuild would note them.
+  std::vector<std::pair<std::size_t, std::uint32_t>> changed;
+  std::vector<std::pair<std::size_t, std::uint32_t>> gone;
+
+  void add(std::uint32_t dst) {
+    if (slot.try_emplace(dst, static_cast<std::uint32_t>(dsts.size()))
+            .second) {
+      dsts.push_back(dst);
+    }
+  }
+  void add_all(const std::vector<IdrpRoute>& routes) {
+    for (const IdrpRoute& route : routes) add(route.dst.v);
+  }
+};
+
+IdrpNode::Touched& IdrpNode::begin_touch() {
+  thread_local Touched touched;
+  touched.slot.clear();
+  touched.dsts.clear();
+  touched.reorder = false;
+  return touched;
+}
+
 void IdrpNode::start() {
   if (config_.originate) {
     // Originate own reachability: an empty path means "this AD".
-    IdrpRoute origin;
-    origin.dst = self();
-    loc_rib_[self().v] = {origin};
+    origin_.dst = self();
+    LocEntry& own = loc_rib_[self().v];
+    own.refs = {RouteRef{RouteRef::kOrigin, 0}};
+    own.sig = dst_routes_signature(self().v, RouteView(this, own.refs));
+    loc_rib_xor_ ^= mix(own.sig);
     advertise();
   }
   schedule_refresh();
@@ -116,7 +184,7 @@ void IdrpNode::schedule_refresh() {
   });
 }
 
-std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
+std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
   // A Byzantine/misconfigured AD lies at this advertisement point:
   //   * route leak -- learned routes are re-advertised with wide-open
   //     attributes, skipping the Policy Term intersection entirely;
@@ -131,7 +199,7 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
   wire::Writer body;
   std::uint16_t count = 0;
   const auto own_terms = policies_->terms(self());
-  for (const auto [dst_v, routes] : loc_rib_) {
+  for (const auto [dst_v, entry] : loc_rib_) {
     const AdId dst{dst_v};
     // A damped destination is simply left out: per-neighbor full-table
     // updates make omission an implicit withdrawal, so downstream churn
@@ -144,7 +212,7 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) {
       continue;
     }
     std::uint32_t emitted_for_dst = 0;
-    for (const IdrpRoute& route : routes) {
+    for (const IdrpRoute& route : RouteView(this, entry.refs)) {
       if (emitted_for_dst >= config_.routes_per_dest) break;
       // Sender-side loop suppression.
       if (std::find(route.path.begin(), route.path.end(), neighbor) !=
@@ -329,9 +397,29 @@ void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     drop_malformed();
     return;
   }
-  adj_rib_in_[from.v] = std::move(received);
+  // Diff against the Adj-RIB-in. Same destination at every position: patch
+  // the changed slots in place, so references to unchanged routes stay
+  // valid. Otherwise the table is replaced, every reference into it is
+  // void, and all its old and new destinations are reselected.
+  Touched& touched = begin_touch();
+  std::vector<IdrpRoute>& held = adj_rib_in_[from.v].routes;
+  const bool same_dsts = std::equal(
+      held.begin(), held.end(), received.begin(), received.end(),
+      [](const IdrpRoute& a, const IdrpRoute& b) { return a.dst == b.dst; });
+  if (same_dsts) {
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      if (held[i] == received[i]) continue;
+      held[i] = std::move(received[i]);
+      touched.add(held[i].dst.v);
+    }
+  } else {
+    touched.add_all(held);
+    touched.add_all(received);
+    touched.reorder = true;
+    held = std::move(received);
+  }
   stale_nbrs_.erase(from.v);  // a full-table update IS the GR resync
-  reselect_and_maybe_advertise();
+  reselect_and_maybe_advertise(touched);
 }
 
 void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
@@ -404,8 +492,21 @@ void IdrpNode::on_link_change(AdId neighbor, bool up) {
     return;
   }
   last_sent_hash_.erase(neighbor.v);
+  Touched& touched = begin_touch();
+  erase_neighbor(neighbor, touched);
+  reselect_and_maybe_advertise(touched);
+}
+
+void IdrpNode::erase_neighbor(AdId neighbor, Touched& touched) {
+  const AdjRibIn* in = adj_rib_in_.find(neighbor.v);
+  if (!in) return;
+  // erase() swap-moves the last neighbor into the hole: that neighbor's
+  // tie-break position changes and references into it are void, so its
+  // destinations are reselected along with the erased neighbor's.
+  touched.add_all(in->routes);
+  touched.add_all(adj_rib_in_.values().back().routes);
+  touched.reorder = true;
   adj_rib_in_.erase(neighbor.v);
-  reselect_and_maybe_advertise();
 }
 
 void IdrpNode::flush_stale(AdId neighbor) {
@@ -419,51 +520,109 @@ void IdrpNode::flush_stale(AdId neighbor) {
   if (stale_nbrs_.erase(neighbor.v) == 0) return;  // resynced in time
   ++gr_stale_flushed_;
   last_sent_hash_.erase(neighbor.v);
-  adj_rib_in_.erase(neighbor.v);
-  reselect_and_maybe_advertise();
+  Touched& touched = begin_touch();
+  erase_neighbor(neighbor, touched);
+  reselect_and_maybe_advertise(touched);
 }
 
-void IdrpNode::reselect_and_maybe_advertise() {
-  // Rebuild loc-RIB from all adj-RIBs-in, keeping up to routes_per_dest
-  // policy-diverse routes per destination.
-  DenseMap<std::uint32_t, std::vector<IdrpRoute>> fresh;
-  if (config_.originate) {
-    IdrpRoute origin;
-    origin.dst = self();
-    fresh[self().v] = {origin};
+void IdrpNode::reselect_and_maybe_advertise(Touched& t) {
+  // Routes from unreachable neighbors are unusable. Usability is read at
+  // every reselection (GR retention and link-up do not reselect), and a
+  // neighbor whose usability flipped adds or removes all its routes.
+  for (std::size_t j = 0; j < adj_rib_in_.size(); ++j) {
+    AdjRibIn& in = adj_rib_in_.value_at(j);
+    if (in.routes.empty()) continue;
+    const auto link = topo().find_link(self(), AdId{adj_rib_in_.key_at(j)});
+    const bool usable = link && topo().link(*link).up;
+    if (usable == in.usable) continue;
+    in.usable = usable;
+    t.add_all(in.routes);
+    t.reorder = true;
   }
 
-  DenseMap<std::uint32_t, std::vector<const IdrpRoute*>> candidates;
-  for (const auto [nbr, routes] : adj_rib_in_) {
-    // Routes from unreachable neighbors are unusable.
-    const auto link = topo().find_link(self(), AdId{nbr});
-    if (!link || !topo().link(*link).up) continue;
-    for (const IdrpRoute& route : routes) {
-      candidates[route.dst.v].push_back(&route);
+  // Candidates for the touched destinations, in tie-break order: usable
+  // neighbors in Adj-RIB-in order, each neighbor's routes in order.
+  if (t.cands.size() < t.dsts.size()) t.cands.resize(t.dsts.size());
+  for (std::size_t k = 0; k < t.dsts.size(); ++k) t.cands[k].clear();
+  if (!t.dsts.empty()) {
+    for (std::size_t j = 0; j < adj_rib_in_.size(); ++j) {
+      const AdjRibIn& in = adj_rib_in_.value_at(j);
+      if (!in.usable) continue;
+      for (std::size_t i = 0; i < in.routes.size(); ++i) {
+        if (const std::uint32_t* k = t.slot.find(in.routes[i].dst.v)) {
+          t.cands[*k].push_back({static_cast<std::uint32_t>(j),
+                                 static_cast<std::uint32_t>(i)});
+        }
+      }
     }
   }
-  for (auto [dst, cands] : candidates) {
+
+  // Keep up to routes_per_dest policy-diverse routes per destination.
+  // Withdrawn destinations keep an empty entry until the reorder below,
+  // so loc-RIB positions stay stable during this loop.
+  t.changed.clear();
+  t.gone.clear();
+  for (std::size_t k = 0; k < t.dsts.size(); ++k) {
+    const std::uint32_t dst = t.dsts[k];
+    std::vector<RouteRef>& cands = t.cands[k];
     std::stable_sort(cands.begin(), cands.end(),
-              [](const IdrpRoute* a, const IdrpRoute* b) {
-                if (a->path.size() != b->path.size()) {
-                  return a->path.size() < b->path.size();
-                }
-                return a->attrs.cost < b->attrs.cost;
-              });
-    std::vector<IdrpRoute>& kept = fresh[dst];
-    for (const IdrpRoute* cand : cands) {
-      if (kept.size() >= config_.routes_per_dest) break;
-      const bool redundant = std::any_of(
-          kept.begin(), kept.end(), [&](const IdrpRoute& k) {
-            return k.attrs.covers(cand->attrs);
+                     [this](RouteRef a, RouteRef b) {
+                       const IdrpRoute& ra = resolve(a);
+                       const IdrpRoute& rb = resolve(b);
+                       if (ra.path.size() != rb.path.size()) {
+                         return ra.path.size() < rb.path.size();
+                       }
+                       return ra.attrs.cost < rb.attrs.cost;
+                     });
+    t.kept.clear();
+    for (const RouteRef cand : cands) {
+      if (t.kept.size() >= config_.routes_per_dest) break;
+      const RouteAttrs& attrs = resolve(cand).attrs;
+      const bool redundant =
+          std::any_of(t.kept.begin(), t.kept.end(), [&](RouteRef k) {
+            return resolve(k).attrs.covers(attrs);
           });
-      if (!redundant) kept.push_back(*cand);
+      if (!redundant) t.kept.push_back(cand);
     }
-    if (kept.empty()) fresh.erase(dst);
+    LocEntry* entry = loc_rib_.find(dst);
+    if (entry) loc_rib_xor_ ^= mix(entry->sig);
+    if (t.kept.empty()) {
+      if (!entry) continue;
+      t.gone.emplace_back(entry - loc_rib_.values().data(), dst);
+      entry->refs.clear();
+      t.reorder = true;
+      continue;
+    }
+    const std::uint64_t sig =
+        dst_routes_signature(dst, RouteView(this, t.kept));
+    if (!entry) {
+      entry = &loc_rib_[dst];
+      t.reorder = true;
+    } else if (entry->sig != sig) {
+      t.changed.emplace_back(0, dst);
+    }
+    entry->refs.assign(t.kept.begin(), t.kept.end());
+    entry->sig = sig;
+    loc_rib_xor_ ^= mix(sig);
+  }
+  if (t.reorder) reorder_loc_rib();
+
+  if (damper_.enabled()) {
+    // One flap per destination whose selected route set changed (any
+    // path/attr change) or disappeared; a destination appearing for the
+    // first time is initial learning, not a flap (RFC 2439 shape). Noted
+    // in new loc-RIB order, then withdrawals in old loc-RIB order.
+    const SimTime now = net().engine().now();
+    for (auto& [pos, dst] : t.changed) {
+      pos = loc_rib_.find(dst) - loc_rib_.values().data();
+    }
+    std::sort(t.changed.begin(), t.changed.end());
+    std::sort(t.gone.begin(), t.gone.end());
+    for (const auto& [pos, dst] : t.changed) damper_.note_flap(dst, now);
+    for (const auto& [pos, dst] : t.gone) damper_.note_flap(dst, now);
+    maybe_schedule_release_check();
   }
 
-  loc_rib_ = std::move(fresh);
-  if (damper_.enabled()) note_dst_flaps();
   const std::uint64_t sig = rib_signature();
   if (sig != last_advertised_signature_) {
     last_advertised_signature_ = sig;
@@ -471,65 +630,40 @@ void IdrpNode::reselect_and_maybe_advertise() {
   }
 }
 
-namespace {
-
-std::uint64_t dst_routes_signature(std::uint32_t dst,
-                                   const std::vector<IdrpRoute>& routes) {
-  std::uint64_t s = dst;
-  for (const IdrpRoute& route : routes) {
-    for (AdId ad : route.path) s = splitmix64(s) ^ ad.v;
-    s = splitmix64(s) ^ route.attrs.cost;
-    s = splitmix64(s) ^ route.attrs.qos_mask;
-    s = splitmix64(s) ^ route.attrs.uci_mask;
-    s = splitmix64(s) ^ route.attrs.hour_mask;
-    s = splitmix64(s) ^
-        (route.attrs.sources.is_any() ? 0xffffu
-                                      : route.attrs.sources.members().size());
-    for (AdId m : route.attrs.sources.members()) s = splitmix64(s) ^ m.v;
+void IdrpNode::reorder_loc_rib() {
+  // Encode order, as a full rebuild produces it: self first, then first
+  // appearance over the usable neighbors in Adj-RIB-in order. Entries
+  // move; nothing is reselected or rehashed.
+  DenseMap<std::uint32_t, LocEntry> ordered;
+  ordered.reserve(loc_rib_.size());
+  if (LocEntry* own = loc_rib_.find(self().v)) {
+    ordered.try_emplace(self().v, std::move(*own));
   }
-  return s;
+  for (const auto [nbr, in] : adj_rib_in_) {
+    if (!in.usable) continue;
+    for (const IdrpRoute& route : in.routes) {
+      LocEntry* entry = loc_rib_.find(route.dst.v);
+      // Empty: withdrawn, or already moved (a moved-from vector is empty).
+      if (!entry || entry->refs.empty()) continue;
+      ordered.try_emplace(route.dst.v, std::move(*entry));
+    }
+  }
+  loc_rib_ = std::move(ordered);
 }
 
-}  // namespace
-
 std::uint64_t IdrpNode::rib_signature() const {
+  if (!damper_.enabled()) return kRibSignatureSeed ^ loc_rib_xor_;
   const SimTime now = net().engine().now();
-  std::uint64_t acc = 0x9e3779b97f4a7c15ULL;
-  for (const auto [dst, routes] : loc_rib_) {
+  std::uint64_t acc = kRibSignatureSeed;
+  for (const auto [dst, entry] : loc_rib_) {
     // Suppressed destinations are omitted from updates, so a change
     // confined to one must not look like an advertisable change -- that
     // is where damping cuts the flap cascade. (Pure query: signatures
     // must not mutate damper state.)
-    if (damper_.enabled() && damper_.would_suppress(dst, now)) continue;
-    // order-independent combine across destinations
-    std::uint64_t s = dst_routes_signature(dst, routes);
-    acc ^= splitmix64(s);
+    if (damper_.would_suppress(dst, now)) continue;
+    acc ^= mix(entry.sig);  // order-independent combine across dsts
   }
   return acc;
-}
-
-void IdrpNode::note_dst_flaps() {
-  // One flap per destination whose selected route set changed in this
-  // reselection (appearance, disappearance, or any path/attr change).
-  const SimTime now = net().engine().now();
-  DenseMap<std::uint32_t, std::uint64_t> fresh_sigs;
-  for (const auto [dst, routes] : loc_rib_) {
-    fresh_sigs[dst] = dst_routes_signature(dst, routes);
-  }
-  for (const auto [dst, sig] : fresh_sigs) {
-    if (AdId{dst} == self()) continue;
-    const std::uint64_t* old = dst_sig_.find(dst);
-    // A destination appearing for the first time is initial learning,
-    // not a flap (RFC 2439 shape) -- cold start accrues no penalty.
-    if (old && *old != sig) damper_.note_flap(dst, now);
-  }
-  for (const auto [dst, sig] : dst_sig_) {
-    (void)sig;
-    if (AdId{dst} == self()) continue;
-    if (!fresh_sigs.find(dst)) damper_.note_flap(dst, now);
-  }
-  dst_sig_ = std::move(fresh_sigs);
-  maybe_schedule_release_check();
 }
 
 void IdrpNode::maybe_schedule_release_check() {
@@ -551,9 +685,7 @@ void IdrpNode::maybe_schedule_release_check() {
 }
 
 std::optional<AdId> IdrpNode::forward(const FlowSpec& flow, AdId prev) const {
-  const std::vector<IdrpRoute>* selected = loc_rib_.find(flow.dst.v);
-  if (!selected) return std::nullopt;
-  for (const IdrpRoute& route : *selected) {
+  for (const IdrpRoute& route : routes(flow.dst)) {
     if (route.path.empty()) continue;  // origin route (we are dst)
     if (!route.attrs.permits(flow)) continue;
     const auto link = topo().find_link(self(), route.path.front());
@@ -574,9 +706,7 @@ std::optional<AdId> IdrpNode::forward(const FlowSpec& flow, AdId prev) const {
 }
 
 const IdrpRoute* IdrpNode::select(const FlowSpec& flow) const {
-  const std::vector<IdrpRoute>* selected = loc_rib_.find(flow.dst.v);
-  if (!selected) return nullptr;
-  for (const IdrpRoute& route : *selected) {
+  for (const IdrpRoute& route : routes(flow.dst)) {
     if (route.path.empty()) continue;  // origin route (we are dst)
     if (!route.attrs.permits(flow)) continue;
     const auto link = topo().find_link(self(), route.path.front());
@@ -586,25 +716,26 @@ const IdrpRoute* IdrpNode::select(const FlowSpec& flow) const {
   return nullptr;
 }
 
-const std::vector<IdrpRoute>* IdrpNode::routes(AdId dst) const {
-  return loc_rib_.find(dst.v);
+IdrpNode::RouteView IdrpNode::routes(AdId dst) const {
+  const LocEntry* entry = loc_rib_.find(dst.v);
+  if (!entry) return {this, {}};
+  return {this, entry->refs};
 }
 
 std::size_t IdrpNode::loc_rib_routes() const noexcept {
   std::size_t n = 0;
-  for (const auto [dst, routes] : loc_rib_) n += routes.size();
+  for (const auto [dst, entry] : loc_rib_) n += entry.refs.size();
   return n;
 }
 
 std::size_t IdrpNode::adj_rib_routes() const noexcept {
   std::size_t n = 0;
-  for (const auto [nbr, routes] : adj_rib_in_) n += routes.size();
+  for (const auto [nbr, in] : adj_rib_in_) n += in.routes.size();
   return n;
 }
 
 std::size_t IdrpNode::routes_for(AdId dst) const {
-  const std::vector<IdrpRoute>* r = loc_rib_.find(dst.v);
-  return r ? r->size() : 0;
+  return routes(dst).size();
 }
 
 }  // namespace idr

@@ -14,10 +14,19 @@
 //    policy-granularity bench measures.
 //  * Per-neighbor full-table updates with implicit withdrawal (a route
 //    absent from the latest update from a neighbor is gone).
+//
+// The decision process is incremental. An update is diffed against the
+// sender's Adj-RIB-in, which is patched in place; only the destinations
+// it touched are reselected. The loc-RIB holds references into the
+// Adj-RIBs-in, not copies, and the RIB signature is a running XOR of
+// per-destination signatures. The result is exactly what a full rebuild
+// from every Adj-RIB-in would select, in the same order (DESIGN.md,
+// "IDRP decision process").
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -61,6 +70,8 @@ struct IdrpRoute {
 
   void encode(wire::Writer& w) const;
   static std::optional<IdrpRoute> decode(wire::Reader& r);
+
+  friend bool operator==(const IdrpRoute&, const IdrpRoute&) = default;
 };
 
 struct IdrpConfig {
@@ -104,6 +115,52 @@ struct IdrpConfig {
 
 class IdrpNode : public ProtoNode {
  public:
+  // A selected route by reference: slot `idx` of the Adj-RIB-in at dense
+  // position `nbr`, or the origin route when nbr == kOrigin.
+  struct RouteRef {
+    static constexpr std::uint32_t kOrigin = 0xffffffffu;
+    std::uint32_t nbr;
+    std::uint32_t idx;
+  };
+
+  // The selected routes for one destination, in preference order. A view
+  // into the node's RIBs: valid until the node next handles an event.
+  class RouteView {
+   public:
+    class Iterator {
+     public:
+      Iterator(const IdrpNode* node, const RouteRef* ref) noexcept
+          : node_(node), ref_(ref) {}
+      const IdrpRoute& operator*() const { return node_->resolve(*ref_); }
+      const IdrpRoute* operator->() const { return &**this; }
+      Iterator& operator++() noexcept {
+        ++ref_;
+        return *this;
+      }
+      bool operator==(const Iterator& o) const noexcept {
+        return ref_ == o.ref_;
+      }
+
+     private:
+      const IdrpNode* node_;
+      const RouteRef* ref_;
+    };
+    RouteView(const IdrpNode* node, std::span<const RouteRef> refs) noexcept
+        : node_(node), refs_(refs) {}
+    [[nodiscard]] Iterator begin() const noexcept {
+      return {node_, refs_.data()};
+    }
+    [[nodiscard]] Iterator end() const noexcept {
+      return {node_, refs_.data() + refs_.size()};
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return refs_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return refs_.empty(); }
+
+   private:
+    const IdrpNode* node_;
+    std::span<const RouteRef> refs_;
+  };
+
   // `policies` is the global PolicySet; each node reads ONLY its own
   // terms from it (its configured import/export policy).
   IdrpNode(const PolicySet* policies, IdrpConfig config = {})
@@ -131,9 +188,9 @@ class IdrpNode : public ProtoNode {
   // used by the DV+source-routing hybrid and by diagnostics).
   [[nodiscard]] const IdrpRoute* select(const FlowSpec& flow) const;
 
-  // All selected routes for a destination (nullptr if none) -- used by
-  // the DV+source-routing hybrid, which picks among them at the source.
-  [[nodiscard]] const std::vector<IdrpRoute>* routes(AdId dst) const;
+  // All selected routes for a destination (empty if none) -- used by the
+  // DV+source-routing hybrid, which picks among them at the source.
+  [[nodiscard]] RouteView routes(AdId dst) const;
 
   [[nodiscard]] std::size_t loc_rib_routes() const noexcept;
   [[nodiscard]] std::size_t adj_rib_routes() const noexcept;
@@ -156,21 +213,46 @@ class IdrpNode : public ProtoNode {
   }
 
  private:
-  void reselect_and_maybe_advertise();
+  // One neighbor's Adj-RIB-in: its routes as received, and whether they
+  // were usable (link up) at the last reselection.
+  struct AdjRibIn {
+    std::vector<IdrpRoute> routes;
+    bool usable = false;
+  };
+  // One loc-RIB destination: its selected routes and their signature.
+  struct LocEntry {
+    std::vector<RouteRef> refs;
+    std::uint64_t sig = 0;
+  };
+  struct Touched;
+  // The calling thread's touched set, emptied (sharded runs execute nodes
+  // on worker threads, so the scratch is per thread, never shared).
+  static Touched& begin_touch();
+
+  [[nodiscard]] const IdrpRoute& resolve(RouteRef ref) const {
+    return ref.nbr == RouteRef::kOrigin
+               ? origin_
+               : adj_rib_in_.value_at(ref.nbr).routes[ref.idx];
+  }
+  // Reselects the touched destinations (plus every destination of a
+  // neighbor whose usability flipped), then advertises if the RIB
+  // signature changed.
+  void reselect_and_maybe_advertise(Touched& touched);
+  void erase_neighbor(AdId neighbor, Touched& touched);
+  void reorder_loc_rib();
   void advertise(MsgClass cls = MsgClass::kUpdate);
   void trigger_advertise();
   void schedule_refresh();
   void flush_stale(AdId neighbor);
-  void note_dst_flaps();
   void maybe_schedule_release_check();
   // Defense filter for one received route (config_.defend only): checks
   // neighbor consistency and clamps to the sender's registered terms,
   // appending the surviving copies to `kept`.
   void defend_and_keep(AdId from, IdrpRoute route,
                        std::vector<IdrpRoute>& kept);
-  // Non-const: evaluating damping suppression at encode time performs
-  // reuse-threshold releases as a side effect.
-  [[nodiscard]] std::vector<std::uint8_t> encode_for(AdId neighbor);
+  // The full-table update for `neighbor`. Damping suppression is only
+  // queried here; releases happen solely in the release timer.
+  [[nodiscard]] std::vector<std::uint8_t> encode_for(AdId neighbor) const;
   [[nodiscard]] std::uint64_t rib_signature() const;
 
   const PolicySet* policies_;
@@ -182,17 +264,19 @@ class IdrpNode : public ProtoNode {
   // Neighbors whose Adj-RIB-in is graceful-restart stale (retained while
   // the neighbor restarts; awaiting a resync update or the flush timer).
   std::unordered_set<std::uint32_t> stale_nbrs_;
-  // adj-RIB-in: routes as received, per neighbor (dense, insertion
-  // ordered: iteration order is a function of the event sequence only).
-  DenseMap<std::uint32_t, std::vector<IdrpRoute>> adj_rib_in_;
-  // loc-RIB: selected routes per destination.
-  DenseMap<std::uint32_t, std::vector<IdrpRoute>> loc_rib_;
+  // adj-RIB-in per neighbor (dense, insertion ordered: iteration order is
+  // a function of the event sequence only, and is the tie-break order).
+  DenseMap<std::uint32_t, AdjRibIn> adj_rib_in_;
+  IdrpRoute origin_;  // our own reachability (empty path), when originating
+  // loc-RIB: selected routes per destination, in encode order -- self
+  // first when originating, then first appearance over the usable
+  // neighbors in Adj-RIB-in order.
+  DenseMap<std::uint32_t, LocEntry> loc_rib_;
+  // XOR of splitmix64(sig) over every loc-RIB entry.
+  std::uint64_t loc_rib_xor_ = 0;
   std::uint64_t last_advertised_signature_ = 0;
   bool advertise_scheduled_ = false;  // an MRAI window is already open
   bool release_check_scheduled_ = false;  // a damping release timer is set
-  // Per-destination signature of the selected route set, maintained only
-  // while damping is enabled (change = one flap for that destination).
-  DenseMap<std::uint32_t, std::uint64_t> dst_sig_;
   // Per-neighbor hash of the last update actually sent; identical
   // re-advertisements are suppressed (real path-vector implementations
   // do the same, and it keeps triggered-update churn honest).

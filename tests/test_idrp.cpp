@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -9,6 +10,9 @@
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "topology/figure1.hpp"
+#include "util/dense_map.hpp"
+#include "util/prng.hpp"
+#include "wire/codec.hpp"
 
 namespace idr {
 namespace {
@@ -267,6 +271,360 @@ TEST_F(DvsrTest, LimitedToAdvertisedCandidates) {
   // campus0 sits under Reg-0 whose only parent is BB-West; every route
   // east must cross it, so no candidate qualifies.
   EXPECT_FALSE(path.has_value());
+}
+
+
+// --- History independence of the incremental decision process --------
+//
+// The loc-RIB is maintained incrementally (only destinations an update
+// touched are reselected; selected routes are references into the
+// Adj-RIBs-in). Whatever history led to a set of per-neighbor tables,
+// the node must select, order and advertise exactly what a freshly
+// started node fed those tables (in the same neighbor order, under the
+// same link states) would.
+
+// A neighbor stand-in: records the last update it received, sends none.
+class RecorderNode : public ProtoNode {
+ public:
+  void on_message(AdId, std::span<const std::uint8_t> bytes) override {
+    last.assign(bytes.begin(), bytes.end());
+  }
+  std::vector<std::uint8_t> last;
+};
+
+constexpr AdId kSubject{0};
+constexpr std::uint32_t kNeighbors = 5;  // ADs 1..5, each linked to 0
+constexpr std::uint32_t kAds = 12;       // ADs 6..11 are remote dsts
+constexpr SimTime kGraceMs = 200.0;
+// Long enough for any damping penalty to decay below the reuse threshold.
+constexpr SimTime kQuietMs = 60'000.0;
+
+Topology history_topology() {
+  Topology topo;
+  for (std::uint32_t i = 0; i < kAds; ++i) {
+    topo.add_ad(AdClass::kRegional,
+                i <= kNeighbors ? AdRole::kTransit : AdRole::kStub);
+  }
+  for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
+    topo.add_link(kSubject, AdId{n}, LinkClass::kHierarchical);
+  }
+  return topo;
+}
+
+LinkId link_to(const Topology& topo, std::uint32_t n) {
+  return *topo.find_link(kSubject, AdId{n});
+}
+
+// The subject's Adj-RIB-in as the test expects it: DenseMap has the same
+// insertion and swap-erase order, so a fresh node can be fed the tables
+// in the subject's neighbor order.
+using Tables = DenseMap<std::uint32_t, std::vector<IdrpRoute>>;
+
+// The subject node under test with recorder neighbors, GR and the crash
+// oracle on.
+struct HistoryRig {
+  HistoryRig(Topology topology, const PolicySet& policies, bool damping)
+      : topo(std::move(topology)), net(engine, topo) {
+    IdrpConfig config;
+    config.routes_per_dest = 2;  // the cap and the tie-break both matter
+    config.damping.enabled = damping;
+    config.gr.enabled = true;
+    config.gr.grace_ms = kGraceMs;
+    net.set_graceful_restart(GrConfig{true, kGraceMs});
+    net.set_crash_notifications(true);
+    for (const Ad& ad : topo.ads()) {
+      if (ad.id == kSubject) {
+        auto node = std::make_unique<IdrpNode>(&policies, config);
+        subject = node.get();
+        net.attach(ad.id, std::move(node));
+      } else {
+        auto node = std::make_unique<RecorderNode>();
+        recorders.push_back(node.get());
+        net.attach(ad.id, std::move(node));
+      }
+    }
+    net.start_all();
+  }
+
+  void feed(AdId from, const std::vector<IdrpRoute>& table) {
+    wire::Writer w;
+    w.u8(IdrpNode::kMsgUpdate);
+    w.u16(static_cast<std::uint16_t>(table.size()));
+    for (const IdrpRoute& route : table) route.encode(w);
+    subject->on_message(from, w.bytes());
+  }
+
+  void advance(SimTime ms) { engine.run_until(engine.now() + ms); }
+
+  [[nodiscard]] bool link_up(std::uint32_t n) const {
+    return topo.link(link_to(topo, n)).up;
+  }
+
+  // The full table the subject advertises to `neighbor` right now.
+  std::vector<std::uint8_t> next_update(AdId neighbor) {
+    subject->on_link_change(neighbor, true);  // voids the sent-hash
+    advance(50.0);
+    return recorders[neighbor.v - 1]->last;
+  }
+
+  Topology topo;  // per rig: link state is part of the history
+  Engine engine;
+  Network net;
+  IdrpNode* subject = nullptr;
+  std::vector<RecorderNode*> recorders;  // AD i at index i - 1
+};
+
+// Random table from `from`: random destination subset in random order,
+// 1-3 routes each, with short path lengths and few costs so equal-length,
+// equal-cost ties across neighbors are common.
+std::vector<IdrpRoute> random_table(Prng& rng, AdId from) {
+  std::vector<AdId> dsts;
+  for (std::uint32_t d = 1; d < kAds; ++d) {
+    if (rng.bernoulli(0.6)) dsts.push_back(AdId{d});
+  }
+  std::shuffle(dsts.begin(), dsts.end(), rng);
+  std::vector<IdrpRoute> table;
+  for (AdId dst : dsts) {
+    const std::uint64_t copies = rng.uniform(1, 3);
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      IdrpRoute route;
+      route.dst = dst;
+      route.path.push_back(from);
+      const std::uint64_t mids = rng.below(3);
+      for (std::uint64_t m = 0; m < mids; ++m) {
+        route.path.push_back(AdId{static_cast<std::uint32_t>(
+            rng.uniform(kNeighbors + 1, kAds - 1))});
+      }
+      if (dst != from) route.path.push_back(dst);
+      route.attrs.cost = static_cast<std::uint32_t>(rng.below(2));
+      if (rng.bernoulli(0.3)) {
+        route.attrs.sources = AdSet::of(
+            {AdId{static_cast<std::uint32_t>(rng.below(kAds))},
+             AdId{static_cast<std::uint32_t>(rng.below(kAds))}});
+      }
+      if (rng.bernoulli(0.3)) {
+        route.attrs.qos_mask = static_cast<std::uint8_t>(rng.uniform(1, 3));
+      }
+      table.push_back(std::move(route));
+    }
+  }
+  return table;
+}
+
+std::vector<IdrpRoute> selected(const IdrpNode& node, AdId dst) {
+  std::vector<IdrpRoute> out;
+  for (const IdrpRoute& route : node.routes(dst)) out.push_back(route);
+  return out;
+}
+
+// The documented decision, computed from scratch as a full rebuild does:
+// per destination, the routes of the usable (link up) neighbors in
+// table order, stably sorted by (path length, cost), keeping up to
+// routes_per_dest routes that no kept route covers. Destinations come in
+// first-appearance order.
+struct ReferenceDecision {
+  std::vector<AdId> order;
+  std::vector<std::vector<IdrpRoute>> routes;  // by dst id
+};
+
+ReferenceDecision reference_decision(const HistoryRig& rig,
+                                     const Tables& tables) {
+  DenseMap<std::uint32_t, std::vector<const IdrpRoute*>> candidates;
+  for (const auto [n, table] : tables) {
+    if (!rig.link_up(n)) continue;
+    for (const IdrpRoute& route : table) {
+      candidates[route.dst.v].push_back(&route);
+    }
+  }
+  ReferenceDecision ref;
+  ref.routes.resize(kAds);
+  for (auto [dst, cands] : candidates) {
+    std::stable_sort(cands.begin(), cands.end(),
+                     [](const IdrpRoute* a, const IdrpRoute* b) {
+                       if (a->path.size() != b->path.size()) {
+                         return a->path.size() < b->path.size();
+                       }
+                       return a->attrs.cost < b->attrs.cost;
+                     });
+    std::vector<IdrpRoute>& kept = ref.routes[dst];
+    for (const IdrpRoute* cand : cands) {
+      if (kept.size() >= 2) break;  // HistoryRig's routes_per_dest
+      if (std::none_of(kept.begin(), kept.end(), [&](const IdrpRoute& k) {
+            return k.attrs.covers(cand->attrs);
+          })) {
+        kept.push_back(*cand);
+      }
+    }
+    ref.order.push_back(AdId{dst});
+  }
+  return ref;
+}
+
+// Distinct destinations of an encoded update, in order of appearance.
+std::vector<AdId> update_dsts(const std::vector<std::uint8_t>& update) {
+  wire::Reader r(update);
+  r.u8();
+  const std::uint16_t count = r.u16();
+  std::vector<AdId> dsts;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const auto route = IdrpRoute::decode(r);
+    if (!route) break;
+    if (std::find(dsts.begin(), dsts.end(), route->dst) == dsts.end()) {
+      dsts.push_back(route->dst);
+    }
+  }
+  return dsts;
+}
+
+// Checks the subject against the reference decision and against a fresh
+// node fed `tables` under the same link states. Updates are compared only
+// when damping cannot make them differ: with damping off, or after a
+// quiet period.
+void expect_same_decision(HistoryRig& churned, const Tables& tables,
+                          const PolicySet& policies, bool damping,
+                          AdId crashed) {
+  const ReferenceDecision ref = reference_decision(churned, tables);
+  HistoryRig fresh(churned.topo, policies, damping);
+  for (const auto [n, table] : tables) fresh.feed(AdId{n}, table);
+  if (damping) fresh.advance(kQuietMs);
+  EXPECT_EQ(churned.subject->adj_rib_routes(),
+            fresh.subject->adj_rib_routes());
+  EXPECT_EQ(churned.subject->loc_rib_routes(),
+            fresh.subject->loc_rib_routes());
+  for (std::uint32_t d = 1; d < kAds; ++d) {
+    EXPECT_EQ(selected(*churned.subject, AdId{d}), ref.routes[d])
+        << "dst " << d;
+    EXPECT_EQ(selected(*fresh.subject, AdId{d}), ref.routes[d])
+        << "dst " << d;
+  }
+  for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
+    if (AdId{n} == crashed || !churned.link_up(n)) continue;
+    const std::vector<std::uint8_t> update = churned.next_update(AdId{n});
+    EXPECT_EQ(update, fresh.next_update(AdId{n})) << "update to " << n;
+    // Encode order: self first, then the reference order (restricted to
+    // the destinations this neighbor is sent).
+    const std::vector<AdId> sent = update_dsts(update);
+    std::vector<AdId> expected{kSubject};
+    for (AdId dst : ref.order) {
+      if (std::find(sent.begin(), sent.end(), dst) != sent.end()) {
+        expected.push_back(dst);
+      }
+    }
+    EXPECT_EQ(sent, expected) << "update to " << n;
+  }
+}
+
+void run_history(std::uint64_t seed, bool damping) {
+  const Topology topo = history_topology();
+  const PolicySet policies = make_open_policies(topo);
+  Prng rng(seed);
+  HistoryRig churned(topo, policies, damping);
+  Tables tables;
+  AdId crashed = kNoAd;
+  SimTime flush_at = -1.0;
+  for (int step = 1; step <= 300; ++step) {
+    const auto n = static_cast<std::uint32_t>(rng.uniform(1, kNeighbors));
+    const AdId nbr{n};
+    const bool alive = nbr != crashed;
+    const bool up = churned.link_up(n);
+    const std::uint64_t op = rng.below(10);
+    if (op <= 3 && alive && up) {
+      // A new table: grows, shrinks and reorders destinations.
+      std::vector<IdrpRoute> table = random_table(rng, nbr);
+      churned.feed(nbr, table);
+      tables[n] = std::move(table);
+    } else if (op <= 5 && alive && up && tables.contains(n) &&
+               !tables.find(n)->empty()) {
+      // Same destination sequence, one route changed in place.
+      std::vector<IdrpRoute> table = *tables.find(n);
+      IdrpRoute& route = table[rng.below(table.size())];
+      if (rng.bernoulli(0.5)) {
+        route.attrs.cost ^= 1u;
+      } else if (route.path.size() > 1) {
+        route.path.insert(route.path.begin() + 1,
+                          AdId{static_cast<std::uint32_t>(
+                              rng.uniform(kNeighbors + 1, kAds - 1))});
+      }
+      churned.feed(nbr, table);
+      tables[n] = std::move(table);
+    } else if (op == 6 && alive) {
+      // Link flip. With notifications off the subject keeps the table of
+      // a down neighbor and only observes the flip at its next
+      // reselection; with them on, link-down erases the table.
+      const bool notify = rng.bernoulli(0.5);
+      churned.net.set_link_notifications(notify);
+      churned.net.set_link_state(link_to(churned.topo, n), !up);
+      churned.net.set_link_notifications(true);
+      if (notify && up) tables.erase(n);
+    } else if (op == 7 && alive && up && crashed == kNoAd && step < 200) {
+      // GR: the neighbor crashes into grace, its table is retained
+      // stale, and nobody resyncs it, so it is flushed at expiry.
+      churned.net.crash(nbr);
+      crashed = nbr;
+      flush_at = churned.engine.now() + kGraceMs + 0.1;
+    } else if (op == 8 && alive && up && tables.contains(n)) {
+      churned.feed(nbr, *tables.find(n));  // identical re-send
+    }
+    churned.advance(static_cast<SimTime>(rng.below(40)));
+    if (flush_at >= 0.0 && churned.engine.now() >= flush_at) {
+      tables.erase(crashed.v);
+      flush_at = -1.0;
+    }
+    if (step % 30 == 0 && !damping) {
+      // Checkpoint, links as they are: an identical re-send makes the
+      // subject reselect under the current link states first.
+      for (const auto [m, table] : tables) {
+        if (AdId{m} == crashed) continue;
+        churned.feed(AdId{m}, table);
+        break;
+      }
+      expect_same_decision(churned, tables, policies, damping, crashed);
+    }
+  }
+  churned.advance(kGraceMs + 1.0);
+  if (flush_at >= 0.0) tables.erase(crashed.v);
+  // Links back up, then an identical re-send per neighbor so the subject
+  // reselects with every link up.
+  for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
+    if (!churned.link_up(n)) {
+      churned.net.set_link_state(link_to(churned.topo, n), true);
+    }
+  }
+  for (const auto [n, table] : tables) churned.feed(AdId{n}, table);
+  churned.advance(kQuietMs);
+  expect_same_decision(churned, tables, policies, damping, crashed);
+}
+
+TEST(IdrpIncremental, DecisionIsIndependentOfHistory) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    run_history(seed, /*damping=*/false);
+  }
+}
+
+TEST(IdrpIncremental, DecisionIsIndependentOfHistoryWithDamping) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    run_history(seed, /*damping=*/true);
+  }
+}
+
+// Every change to the selected routes reaches the neighbors: after each
+// update, what a neighbor last received is what it would be sent now.
+TEST(IdrpIncremental, AdvertisesEveryChange) {
+  const Topology topo = history_topology();
+  const PolicySet policies = make_open_policies(topo);
+  Prng rng(42);
+  HistoryRig rig(topo, policies, /*damping=*/false);
+  for (int step = 0; step < 100; ++step) {
+    const AdId nbr{static_cast<std::uint32_t>(rng.uniform(1, kNeighbors))};
+    rig.feed(nbr, random_table(rng, nbr));
+    rig.advance(10.0);
+    for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
+      const std::vector<std::uint8_t> sent = rig.recorders[n - 1]->last;
+      EXPECT_EQ(sent, rig.next_update(AdId{n})) << "step " << step;
+    }
+  }
 }
 
 }  // namespace

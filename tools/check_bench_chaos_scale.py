@@ -5,6 +5,9 @@ Compares a fresh BENCH_chaos_scale.json ("runs" rows,
 bench_chaos_scale/v1 schema) against the checked-in baseline, keyed by
 (arch, storm, damping). For every cell present in BOTH files:
 
+  * counter_fingerprint must equal the baseline (a hash of the run's
+    host-independent counters: any difference is a real change in what
+    the simulation does, never host noise);
   * persistent invariant violations must equal the baseline (the
     checked-in baseline is all-zero, so any new persistent loop / black
     hole / stale route is an error);
@@ -120,6 +123,11 @@ def main():
         cur = current[key]
         label = f"{arch} {storm} damping={damping} ads={ads}"
         status = "ok"
+        if cur["counter_fingerprint"] != base["counter_fingerprint"]:
+            status = "WORK CHANGED"
+            failures.append(
+                f"{label}: counter_fingerprint {cur['counter_fingerprint']} "
+                f"vs baseline {base['counter_fingerprint']}")
         if cur["persistent_violations"] != base["persistent_violations"]:
             status = "VIOLATIONS"
             failures.append(

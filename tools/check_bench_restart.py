@@ -26,10 +26,11 @@ Absolute gates on every cell in the CURRENT file (no baseline needed):
   * the A/B itself: per arch, the "gr" cell must beat the "cold" cell's
     continuity by at least --min-continuity-gain points (default 10.0).
 
-Cold cells are gated RELATIVELY, like check_bench_chaos_scale: for
-cells present in both files with matching 'ads', persistent violations
-must equal the baseline and reconverge_ms must not regress by more
-than --threshold (default 20%). Cells only present on one side are
+Cells are also gated RELATIVELY, like check_bench_chaos_scale: for
+cells present in both files with matching 'ads', counter_fingerprint
+(a hash of the run's host-independent counters) and persistent
+violations must equal the baseline, and reconverge_ms must not regress
+by more than --threshold (default 20%). Cells only present on one side are
 reported but never fail the gate, so CI can run a reduced --ads sweep
 against the full checked-in baseline.
 
@@ -172,6 +173,11 @@ def main():
         cur = current[key]
         label = f"{arch} {mode} ads={ads}"
         status = "ok"
+        if cur["counter_fingerprint"] != base["counter_fingerprint"]:
+            status = "WORK CHANGED"
+            failures.append(
+                f"{label}: counter_fingerprint {cur['counter_fingerprint']} "
+                f"vs baseline {base['counter_fingerprint']}")
         if cur["persistent_violations"] != base["persistent_violations"]:
             status = "VIOLATIONS"
             failures.append(

@@ -10,6 +10,11 @@ checked-in sweep. Correctness is also gated: a current run that fails to
 deliver every probe its baseline cell delivered is an error regardless
 of throughput.
 
+The host-independent work counters are gated exactly: events, msgs_sent
+and bytes_sent must equal the baseline cell's. Any difference is a real
+change in what the simulation does, never host noise; a change that
+means to alter them re-records the baseline.
+
 Usage:
   tools/check_bench_scale.py --baseline BENCH_scale.json \
       --current build/BENCH_scale.json [--threshold 0.20]
@@ -20,6 +25,9 @@ Exit status: 0 = within threshold, 1 = regression, 2 = bad input.
 import argparse
 import json
 import sys
+
+# Work counters that must match the baseline cell exactly.
+EXACT_COUNTERS = ("events", "msgs_sent", "bytes_sent")
 
 
 def load_runs(path):
@@ -69,6 +77,12 @@ def main():
             failures.append(
                 f"{arch} ads={ads}: {cur['events_per_sec']:.0f} ev/s vs "
                 f"baseline {base['events_per_sec']:.0f} ({ratio:.2%})")
+        for counter in EXACT_COUNTERS:
+            if cur[counter] != base[counter]:
+                status = "WORK CHANGED"
+                failures.append(
+                    f"{arch} ads={ads}: {counter} {cur[counter]} vs "
+                    f"baseline {base[counter]}")
         if cur["probe_delivered"] < base["probe_delivered"]:
             status = "DELIVERY LOSS"
             failures.append(
@@ -86,7 +100,7 @@ def main():
             print(f"  {f}", file=sys.stderr)
         sys.exit(1)
     print(f"check_bench_scale: {len(shared)} cell(s) within "
-          f"{args.threshold:.0%} of baseline")
+          f"{args.threshold:.0%} of baseline, work counters identical")
 
 
 if __name__ == "__main__":

@@ -83,17 +83,7 @@ void LshhNode::originate_if_changed() {
       adjs.push_back(
           PolicyLsaAdjacency{adj.neighbor, topo().link(adj.link).metric});
     }
-    const bool same =
-        adjs.size() == current->adjacencies.size() &&
-        stubs.size() == current->attached_stubs.size() &&
-        std::equal(adjs.begin(), adjs.end(), current->adjacencies.begin(),
-                   [](const PolicyLsaAdjacency& a,
-                      const PolicyLsaAdjacency& b) {
-                     return a.neighbor == b.neighbor && a.metric == b.metric;
-                   }) &&
-        std::equal(stubs.begin(), stubs.end(),
-                   current->attached_stubs.begin());
-    if (same) {
+    if (adjs == current->adjacencies && stubs == current->attached_stubs) {
       ++originations_suppressed_;
       return;
     }
@@ -288,22 +278,6 @@ std::optional<AdId> LshhNode::flat_next(const FlowSpec& flow) {
   return next;
 }
 
-AdId LshhNode::attachment(AdId ad) {
-  if (lsdb_.get(ad)) return ad;  // transit ADs own themselves
-  if (attach_version_ != lsdb_.version()) {
-    attach_.clear();
-    lsdb_.for_each([&](const PolicyLsa& lsa) {
-      for (AdId stub : lsa.attached_stubs) {
-        auto [owner, inserted] = attach_.try_emplace(stub.v, lsa.origin.v);
-        if (!inserted && lsa.origin.v < owner) owner = lsa.origin.v;
-      }
-    });
-    attach_version_ = lsdb_.version();
-  }
-  const std::uint32_t* owner = attach_.find(ad.v);
-  return owner ? AdId{*owner} : kNoAd;
-}
-
 std::optional<AdId> LshhNode::hierarchical_next(const FlowSpec& flow) {
   if (!is_transit()) {
     // Stub: deliver to an adjacent destination, else hand the packet to
@@ -319,7 +293,7 @@ std::optional<AdId> LshhNode::hierarchical_next(const FlowSpec& flow) {
     }
     return parent;
   }
-  const AdId owner_dst = attachment(flow.dst);
+  const AdId owner_dst = lsdb_.attachment(flow.dst);
   if (!owner_dst.valid()) return std::nullopt;
   if (owner_dst == self()) {
     // Last transit hop: the destination is our attached stub.
@@ -328,7 +302,7 @@ std::optional<AdId> LshhNode::hierarchical_next(const FlowSpec& flow) {
     }
     return std::nullopt;
   }
-  const AdId owner_src = attachment(flow.src);
+  const AdId owner_src = lsdb_.attachment(flow.src);
   if (!owner_src.valid()) return std::nullopt;
   // Route between the attachments over the transit-only database; the
   // stub endpoints ride the first/last hierarchical link.

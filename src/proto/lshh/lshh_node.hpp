@@ -42,8 +42,8 @@ struct LshhConfig {
   // transit ADs originate LSAs (listing their attached stubs), floods
   // skip stub neighbors, stubs default-route to their lowest-id live
   // transit neighbor, and transit ADs route between stub *attachments*
-  // over the transit-only database. The database and every FIB stay
-  // O(transit ADs) instead of O(all ADs).
+  // (PolicyLsdb::attachment) over the transit-only database. The
+  // database and every FIB stay O(transit ADs) instead of O(all ADs).
   bool hierarchical = false;
   // Hold-down for link-change-triggered re-origination (0 = immediate,
   // the historical behavior). Link transitions within the window
@@ -131,10 +131,6 @@ class LshhNode : public ProtoNode {
                  MsgClass cls = MsgClass::kUpdate);
   void schedule_refresh();
   [[nodiscard]] bool is_transit() const { return topo().can_transit(self()); }
-  // Transit AD a stub rides on: the lowest origin listing it as attached
-  // (every transit AD computes the same owner from the same database,
-  // which is what keeps hierarchical hop-by-hop forwarding consistent).
-  [[nodiscard]] AdId attachment(AdId ad);
   [[nodiscard]] std::optional<AdId> flat_next(const FlowSpec& flow);
   [[nodiscard]] std::optional<AdId> hierarchical_next(const FlowSpec& flow);
   [[nodiscard]] static std::uint64_t cache_key(const FlowSpec& flow) noexcept {
@@ -156,9 +152,6 @@ class LshhNode : public ProtoNode {
   std::uint64_t gr_retained_ = 0;
   std::uint64_t gr_resyncs_ = 0;
   DenseMap<std::uint64_t, CacheEntry> cache_;
-  // Lazily rebuilt stub -> owning transit AD index (hierarchical mode).
-  DenseMap<std::uint32_t, std::uint32_t> attach_;
-  std::uint64_t attach_version_ = ~0ull;
   std::uint64_t path_computations_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t total_expansions_ = 0;

@@ -1,6 +1,27 @@
 #include "proto/orwg/lsdb.hpp"
 
+#include <algorithm>
+
+#include "util/check.hpp"
+
 namespace idr {
+
+void encode_ad_list(wire::Writer& w, const std::vector<AdId>& ids) {
+  IDR_CHECK_MSG(ids.size() <= 0xffff, "list too long for u16 length prefix");
+  w.u16(static_cast<std::uint16_t>(ids.size()));
+  for (AdId ad : ids) w.u32(ad.v);
+}
+
+std::vector<AdId> decode_ad_list(wire::Reader& r) {
+  const std::uint16_t len = r.u16();
+  std::vector<AdId> ids;
+  // Reserve no more than the buffer can hold: the length is wire input.
+  ids.reserve(std::min<std::size_t>(len, r.remaining() / 4));
+  for (std::uint16_t i = 0; i < len && r.ok(); ++i) {
+    ids.push_back(AdId{r.u32()});
+  }
+  return ids;
+}
 
 void PolicyLsa::encode(wire::Writer& w) const {
   w.u32(origin.v);
@@ -14,19 +35,11 @@ void PolicyLsa::encode(wire::Writer& w) const {
   for (const PolicyTerm& t : terms) t.encode(w);
   w.u8(has_source_policy ? 1 : 0);
   if (has_source_policy) {
-    std::vector<std::uint32_t> raw;
-    raw.reserve(avoid.size());
-    for (AdId ad : avoid) raw.push_back(ad.v);
-    w.u32_list(raw);
+    encode_ad_list(w, avoid);
     w.u32(max_hops);
     w.u8(prefer_min_cost ? 1 : 0);
   }
-  {
-    std::vector<std::uint32_t> raw;
-    raw.reserve(attached_stubs.size());
-    for (AdId ad : attached_stubs) raw.push_back(ad.v);
-    w.u32_list(raw);
-  }
+  encode_ad_list(w, attached_stubs);
   w.u64(auth);
 }
 
@@ -49,11 +62,11 @@ std::optional<PolicyLsa> PolicyLsa::decode(wire::Reader& r) {
   }
   lsa.has_source_policy = r.u8() != 0;
   if (lsa.has_source_policy) {
-    for (std::uint32_t v : r.u32_list()) lsa.avoid.push_back(AdId{v});
+    lsa.avoid = decode_ad_list(r);
     lsa.max_hops = r.u32();
     lsa.prefer_min_cost = r.u8() != 0;
   }
-  for (std::uint32_t v : r.u32_list()) lsa.attached_stubs.push_back(AdId{v});
+  lsa.attached_stubs = decode_ad_list(r);
   lsa.auth = r.u64();
   if (!r.ok()) return std::nullopt;
   return lsa;
@@ -80,16 +93,41 @@ std::size_t PolicyLsa::encoded_size() const {
   return w.size();
 }
 
-bool PolicyLsdb::insert(PolicyLsa lsa) {
+bool PolicyLsdb::insert(const PolicyLsa& lsa) {
   const PolicyLsa* have = lsas_.find(lsa.origin.v);
   if (have && have->seq >= lsa.seq) return false;
-  lsas_[lsa.origin.v] = std::move(lsa);
+  if (have ? have->attached_stubs != lsa.attached_stubs
+           : !lsa.attached_stubs.empty()) {
+    ++stubs_version_;
+  }
+  lsas_[lsa.origin.v] = lsa;
   ++version_;
   return true;
 }
 
 const PolicyLsa* PolicyLsdb::get(AdId origin) const {
   return lsas_.find(origin.v);
+}
+
+AdId PolicyLsdb::attachment(AdId ad) const {
+  if (lsas_.contains(ad.v)) return ad;  // transit ADs own themselves
+  if (attach_version_ != stubs_version_) {
+    // Size the table once: growing it from empty rehashes every entry
+    // about once per doubling, the bulk of a rebuild's cost.
+    std::size_t listed = 0;
+    for (const auto [origin, lsa] : lsas_) listed += lsa.attached_stubs.size();
+    attach_.clear();
+    attach_.reserve(listed);
+    for (const auto [origin, lsa] : lsas_) {
+      for (AdId stub : lsa.attached_stubs) {
+        auto [owner, inserted] = attach_.try_emplace(stub.v, origin);
+        if (!inserted && origin < owner) owner = origin;
+      }
+    }
+    attach_version_ = stubs_version_;
+  }
+  const std::uint32_t* owner = attach_.find(ad.v);
+  return owner ? AdId{*owner} : kNoAd;
 }
 
 std::size_t PolicyLsdb::total_terms() const noexcept {

@@ -27,7 +27,13 @@ namespace idr {
 struct PolicyLsaAdjacency {
   AdId neighbor;
   std::uint32_t metric = 1;
+  bool operator==(const PolicyLsaAdjacency&) const = default;
 };
+
+// An AdId list in the wire::Writer::u32_list layout (u16 count, then
+// u32s), encoded and decoded without an intermediate u32 vector.
+void encode_ad_list(wire::Writer& w, const std::vector<AdId>& ids);
+std::vector<AdId> decode_ad_list(wire::Reader& r);
 
 struct PolicyLsa {
   AdId origin;
@@ -65,14 +71,24 @@ std::uint64_t lsa_auth_tag(const PolicyLsa& lsa, std::uint64_t key);
 
 class PolicyLsdb {
  public:
-  // Inserts if newer than the stored LSA for the origin; returns whether
-  // the database changed (callers flood exactly when it did).
-  bool insert(PolicyLsa lsa);
+  // Stores a copy if newer than the stored LSA for the origin (stale and
+  // duplicate floods are never copied); returns whether the database
+  // changed (callers flood exactly when it did).
+  bool insert(const PolicyLsa& lsa);
 
   [[nodiscard]] const PolicyLsa* get(AdId origin) const;
   [[nodiscard]] std::size_t size() const noexcept { return lsas_.size(); }
   [[nodiscard]] std::size_t total_terms() const noexcept;
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+
+  // Hierarchical mode: the transit AD an AD rides on -- itself if it
+  // originates an LSA, else the lowest origin listing it as an attached
+  // stub, else kNoAd. Every AD holding the same database derives the same
+  // owner, which keeps hierarchical forwarding consistent. The index is
+  // rebuilt lazily, and only after an accepted LSA changed some origin's
+  // stub list: the owner depends on nothing else, and LSAs are never
+  // erased.
+  [[nodiscard]] AdId attachment(AdId ad) const;
 
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -85,6 +101,10 @@ class PolicyLsdb {
  private:
   DenseMap<std::uint32_t, PolicyLsa> lsas_;
   std::uint64_t version_ = 0;  // bumped on every accepted insert
+  std::uint64_t stubs_version_ = 0;  // bumped when a stub list changes
+  // Stub -> owning origin, valid while attach_version_ == stubs_version_.
+  mutable DenseMap<std::uint32_t, std::uint32_t> attach_;
+  mutable std::uint64_t attach_version_ = ~0ull;
 };
 
 // SynthesisView over a PolicyLsdb. A link is usable only if both

@@ -26,19 +26,6 @@ FlowSpec decode_flow(wire::Reader& r) {
   return flow;
 }
 
-void encode_path(wire::Writer& w, const std::vector<AdId>& path) {
-  std::vector<std::uint32_t> raw;
-  raw.reserve(path.size());
-  for (AdId ad : path) raw.push_back(ad.v);
-  w.u32_list(raw);
-}
-
-std::vector<AdId> decode_path(wire::Reader& r) {
-  std::vector<AdId> path;
-  for (std::uint32_t v : r.u32_list()) path.push_back(AdId{v});
-  return path;
-}
-
 }  // namespace
 
 void OrwgNode::start() {
@@ -113,17 +100,7 @@ void OrwgNode::originate_if_changed() {
       adjs.push_back(
           PolicyLsaAdjacency{adj.neighbor, topo().link(adj.link).metric});
     }
-    const bool same =
-        adjs.size() == current->adjacencies.size() &&
-        stubs.size() == current->attached_stubs.size() &&
-        std::equal(adjs.begin(), adjs.end(), current->adjacencies.begin(),
-                   [](const PolicyLsaAdjacency& a,
-                      const PolicyLsaAdjacency& b) {
-                     return a.neighbor == b.neighbor && a.metric == b.metric;
-                   }) &&
-        std::equal(stubs.begin(), stubs.end(),
-                   current->attached_stubs.begin());
-    if (same) {
+    if (adjs == current->adjacencies && stubs == current->attached_stubs) {
       ++originations_suppressed_;
       return;
     }
@@ -147,7 +124,7 @@ void OrwgNode::forge_victim_lsa() {
   flood_lsa(forged, kNoAd);
 }
 
-void OrwgNode::accept_lsa(PolicyLsa lsa, AdId from) {
+void OrwgNode::accept_lsa(const PolicyLsa& lsa, AdId from) {
   if (config_.lsa_keys) {
     if (lsa.origin.v >= config_.lsa_keys->size() ||
         lsa.auth != lsa_auth_tag(lsa, (*config_.lsa_keys)[lsa.origin.v])) {
@@ -312,7 +289,7 @@ void OrwgNode::transmit_setup(PrHandle handle) {
   w.u8(kMsgSetup);
   w.u64(handle.v);
   encode_flow(w, pr.flow);
-  encode_path(w, pr.path);
+  encode_ad_list(w, pr.path);
   w.u16(1);  // position of the receiving AD on the path
   send_pdu(pr.path[1], std::move(w));
 }
@@ -413,26 +390,10 @@ std::optional<std::vector<AdId>> OrwgNode::policy_route(
   return route->path;
 }
 
-AdId OrwgNode::attachment(AdId ad) {
-  if (lsdb_.get(ad)) return ad;  // transit ADs own themselves
-  if (attach_version_ != lsdb_.version()) {
-    attach_.clear();
-    lsdb_.for_each([&](const PolicyLsa& lsa) {
-      for (AdId stub : lsa.attached_stubs) {
-        auto [owner, inserted] = attach_.try_emplace(stub.v, lsa.origin.v);
-        if (!inserted && lsa.origin.v < owner) owner = lsa.origin.v;
-      }
-    });
-    attach_version_ = lsdb_.version();
-  }
-  const std::uint32_t* owner = attach_.find(ad.v);
-  return owner ? AdId{*owner} : kNoAd;
-}
-
 std::optional<std::vector<AdId>> OrwgNode::hierarchical_route(
     const FlowSpec& flow) {
-  const AdId owner_src = attachment(flow.src);
-  const AdId owner_dst = attachment(flow.dst);
+  const AdId owner_src = lsdb_.attachment(flow.src);
+  const AdId owner_dst = lsdb_.attachment(flow.dst);
   if (!owner_src.valid() || !owner_dst.valid()) return std::nullopt;
   std::vector<AdId> path;
   if (owner_src == owner_dst) {
@@ -547,7 +508,7 @@ void OrwgNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
         drop_malformed();
         return;
       }
-      accept_lsa(std::move(*lsa), from);
+      accept_lsa(*lsa, from);
       break;
     }
     case kMsgLsaBatch: {
@@ -567,7 +528,7 @@ void OrwgNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
         drop_malformed();
         return;
       }
-      for (PolicyLsa& lsa : lsas) accept_lsa(std::move(lsa), from);
+      for (const PolicyLsa& lsa : lsas) accept_lsa(lsa, from);
       break;
     }
     case kMsgSetup:
@@ -597,7 +558,7 @@ void OrwgNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
 void OrwgNode::handle_setup(AdId from, wire::Reader& r) {
   const PrHandle handle{r.u64()};
   const FlowSpec flow = decode_flow(r);
-  const std::vector<AdId> path = decode_path(r);
+  const std::vector<AdId> path = decode_ad_list(r);
   const std::uint16_t position = r.u16();
   if (!r.ok()) {
     drop_malformed();
@@ -633,7 +594,7 @@ void OrwgNode::handle_setup(AdId from, wire::Reader& r) {
   w.u8(kMsgSetup);
   w.u64(handle.v);
   encode_flow(w, flow);
-  encode_path(w, path);
+  encode_ad_list(w, path);
   w.u16(static_cast<std::uint16_t>(position + 1));
   send_pdu(path[position + 1], std::move(w));
 }

@@ -164,11 +164,10 @@ class OrwgNode : public ProtoNode {
 
   void originate_lsa(MsgClass cls = MsgClass::kUpdate);
   void originate_if_changed();
-  // Hierarchical helpers: owning transit AD of a (possibly stub) AD, the
-  // stub's deterministic parent, and the end-to-end AD path composed from
-  // a transit-level synthesis between the two attachments.
+  // Hierarchical helpers: the end-to-end AD path is composed from a
+  // transit-level synthesis between the two endpoints' owning transit ADs
+  // (PolicyLsdb::attachment).
   [[nodiscard]] bool is_transit() const { return topo().can_transit(self()); }
-  [[nodiscard]] AdId attachment(AdId ad);
   [[nodiscard]] std::optional<std::vector<AdId>> hierarchical_route(
       const FlowSpec& flow);
   void forge_victim_lsa();
@@ -255,7 +254,7 @@ class OrwgNode : public ProtoNode {
 
  private:
   // Verify + insert + (on acceptance) re-flood one received LSA.
-  void accept_lsa(PolicyLsa lsa, AdId from);
+  void accept_lsa(const PolicyLsa& lsa, AdId from);
   // Counts a route-server answer served from cache during a grace window
   // (the "memoized synthesis from the stale snapshot" the GR design
   // promises for the source-routing family).
@@ -266,9 +265,6 @@ class OrwgNode : public ProtoNode {
   std::uint64_t gr_retained_ = 0;
   std::uint64_t gr_resyncs_ = 0;
   std::uint64_t gr_memoized_ = 0;
-  // Lazily rebuilt stub -> owning transit AD index (hierarchical mode).
-  DenseMap<std::uint32_t, std::uint32_t> attach_;
-  std::uint64_t attach_version_ = ~0ull;
 };
 
 }  // namespace idr

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
+#include "core/design_harness.hpp"
 #include "policy/generator.hpp"
 #include "proto/lshh/lshh_node.hpp"
+#include "proto/orwg/orwg_node.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "topology/figure1.hpp"
+#include "util/prng.hpp"
 
 namespace idr {
 namespace {
@@ -77,6 +83,227 @@ TEST(PolicyLsdbUnit, TransitCostPicksCheapestPermittingTerm) {
   EXPECT_FALSE(
       view.transit_cost(AdId{1}, research, AdId{0}, AdId{2}).has_value());
 }
+
+PolicyLsa stub_lsa(std::uint32_t origin, std::uint32_t seq,
+                   std::vector<AdId> stubs) {
+  PolicyLsa lsa;
+  lsa.origin = AdId{origin};
+  lsa.seq = seq;
+  lsa.attached_stubs = std::move(stubs);
+  return lsa;
+}
+
+TEST(PolicyLsdbUnit, LowestListingOriginOwnsMultiListedStub) {
+  PolicyLsdb db;
+  db.insert(stub_lsa(7, 1, {AdId{20}, AdId{21}}));
+  EXPECT_EQ(db.attachment(AdId{20}), AdId{7});
+  db.insert(stub_lsa(4, 1, {AdId{21}}));
+  EXPECT_EQ(db.attachment(AdId{20}), AdId{7});
+  EXPECT_EQ(db.attachment(AdId{21}), AdId{4});
+  db.insert(stub_lsa(9, 1, {AdId{21}, AdId{20}}));
+  EXPECT_EQ(db.attachment(AdId{20}), AdId{7});
+  EXPECT_EQ(db.attachment(AdId{21}), AdId{4});
+  // The owner drops the stub: the next-lowest listing origin takes over.
+  db.insert(stub_lsa(4, 2, {}));
+  EXPECT_EQ(db.attachment(AdId{21}), AdId{7});
+  EXPECT_EQ(db.attachment(AdId{22}), kNoAd);  // listed by nobody
+}
+
+TEST(PolicyLsdbUnit, TransitAdsOwnThemselves) {
+  PolicyLsdb db;
+  db.insert(stub_lsa(1, 1, {AdId{2}, AdId{5}}));
+  EXPECT_EQ(db.attachment(AdId{2}), AdId{1});
+  // AD 2 now originates an LSA of its own: it owns itself even though a
+  // lower origin still lists it.
+  db.insert(stub_lsa(2, 1, {}));
+  EXPECT_EQ(db.attachment(AdId{1}), AdId{1});
+  EXPECT_EQ(db.attachment(AdId{2}), AdId{2});
+  EXPECT_EQ(db.attachment(AdId{5}), AdId{1});
+}
+
+// Randomized churn against a from-scratch reference: after every insert
+// the lazily maintained index must equal the min listing origin over the
+// current LSAs (or the AD itself when it originates one).
+TEST(PolicyLsdbUnit, AttachmentMatchesReferenceUnderChurn) {
+  constexpr std::uint32_t kOrigins = 6;
+  constexpr std::uint32_t kIds = 20;  // origins 0..5, stubs 6..19
+  Prng rng(0xa77ac4ULL);
+  PolicyLsdb db;
+  std::map<std::uint32_t, PolicyLsa> ref;  // origin -> stored LSA
+
+  const auto ref_owner = [&](AdId ad) {
+    if (ref.count(ad.v)) return ad;
+    AdId owner = kNoAd;
+    for (const auto& [origin, lsa] : ref) {
+      const auto& stubs = lsa.attached_stubs;
+      if (std::find(stubs.begin(), stubs.end(), ad) != stubs.end() &&
+          (!owner.valid() || origin < owner.v)) {
+        owner = AdId{origin};
+      }
+    }
+    return owner;
+  };
+  const auto random_stub = [&] {
+    return AdId{kOrigins +
+                static_cast<std::uint32_t>(rng.below(kIds - kOrigins))};
+  };
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto origin = static_cast<std::uint32_t>(rng.below(kOrigins));
+    const PolicyLsa* have = db.get(AdId{origin});
+    PolicyLsa lsa = have ? *have : stub_lsa(origin, 0, {});
+    ++lsa.seq;
+    std::vector<AdId>& stubs = lsa.attached_stubs;
+    switch (rng.below(9)) {
+      case 0:  // stub added
+        if (const AdId s = random_stub();
+            std::find(stubs.begin(), stubs.end(), s) == stubs.end()) {
+          stubs.push_back(s);
+        }
+        break;
+      case 1:  // stub removed
+        if (!stubs.empty()) {
+          stubs.erase(stubs.begin() +
+                      static_cast<std::ptrdiff_t>(rng.below(stubs.size())));
+        }
+        break;
+      case 2:  // stub re-homed: same list size, different member
+        if (!stubs.empty()) {
+          const AdId s = random_stub();
+          if (std::find(stubs.begin(), stubs.end(), s) == stubs.end()) {
+            stubs[rng.below(stubs.size())] = s;
+          }
+        }
+        break;
+      case 3:  // list reordered
+        std::shuffle(stubs.begin(), stubs.end(), rng);
+        break;
+      case 4:  // adjacency-only update
+        lsa.adjacencies.push_back(
+            PolicyLsaAdjacency{AdId{static_cast<std::uint32_t>(
+                                   rng.below(kOrigins))},
+                               1});
+        break;
+      case 5:  // term-only update
+        lsa.terms.push_back(open_transit_term(AdId{origin}));
+        break;
+      case 6:  // stale: an older sequence number with a different list
+        if (!have) break;
+        lsa.seq = have->seq - static_cast<std::uint32_t>(rng.below(2));
+        stubs.push_back(random_stub());
+        break;
+      case 7:  // forged empty LSA for the origin, far ahead in sequence
+        lsa = stub_lsa(origin, lsa.seq + 64, {});
+        break;
+      default:  // duplicate of the stored copy
+        if (have) --lsa.seq;
+        break;
+    }
+    const bool newer = !have || lsa.seq > have->seq;
+    ASSERT_EQ(db.insert(lsa), newer) << "step " << step;
+    if (newer) {
+      ref[origin] = lsa;
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+    for (std::uint32_t id = 0; id <= kIds; ++id) {
+      ASSERT_EQ(db.attachment(AdId{id}), ref_owner(AdId{id}))
+          << "step " << step << " id " << id;
+    }
+  }
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 300u);
+}
+
+// Hierarchical LS nodes on Figure 1: the multi-homed campus hangs off
+// Reg-1 and Reg-2. Taking down its lower-id parent link re-homes it at
+// every transit AD once the flood drains, and the design probe keeps
+// agreeing with ground-truth reachability for every pair.
+class HierarchicalLsTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    fig_ = build_figure1();
+    policies_ = make_open_policies(fig_.topo);
+    net_ = std::make_unique<Network>(engine_, fig_.topo);
+    for (const Ad& ad : fig_.topo.ads()) {
+      if (GetParam() == "ls-hbh") {
+        LshhConfig config;
+        config.hierarchical = true;
+        net_->attach(ad.id, std::make_unique<LshhNode>(&policies_, config));
+      } else {
+        OrwgConfig config;
+        config.hierarchical = true;
+        net_->attach(ad.id, std::make_unique<OrwgNode>(&policies_, config));
+      }
+    }
+    net_->start_all();
+    engine_.run();
+  }
+
+  const PolicyLsdb& lsdb(AdId ad) {
+    if (GetParam() == "ls-hbh") {
+      return static_cast<LshhNode*>(net_->forwarding_node(ad))->lsdb();
+    }
+    return static_cast<OrwgNode*>(net_->forwarding_node(ad))->lsdb();
+  }
+
+  void expect_owner_everywhere(AdId stub, AdId owner) {
+    for (const Ad& ad : fig_.topo.ads()) {
+      if (!fig_.topo.can_transit(ad.id)) continue;
+      EXPECT_EQ(lsdb(ad.id).attachment(stub), owner) << ad.name;
+    }
+  }
+
+  void expect_probes_match_ground_truth() {
+    const auto probe = make_design_probe(GetParam(), *net_, fig_.topo);
+    for (const Ad& src : fig_.topo.ads()) {
+      for (const Ad& dst : fig_.topo.ads()) {
+        if (src.id == dst.id) continue;
+        const Probe p = probe(FlowSpec{src.id, dst.id});
+        EXPECT_EQ(p.outcome == ProbeOutcome::kDelivered,
+                  policy_reachable(*net_, fig_.topo, policies_, src.id,
+                                   dst.id))
+            << src.name << " -> " << dst.name;
+      }
+    }
+  }
+
+  Figure1 fig_;
+  PolicySet policies_;
+  Engine engine_;
+  std::unique_ptr<Network> net_;
+};
+
+TEST_P(HierarchicalLsTest, MultiHomedStubRehomesWhenLowerParentLinkFails) {
+  const AdId low = std::min(fig_.regional[1], fig_.regional[2]);
+  const AdId high = std::max(fig_.regional[1], fig_.regional[2]);
+  expect_owner_everywhere(fig_.multihomed, low);
+  expect_probes_match_ground_truth();
+
+  net_->set_link_state(*fig_.topo.find_link(low, fig_.multihomed), false);
+  engine_.run();
+  expect_owner_everywhere(fig_.multihomed, high);
+  expect_probes_match_ground_truth();
+  const auto probe = make_design_probe(GetParam(), *net_, fig_.topo);
+  const Probe p = probe(FlowSpec{fig_.campus[0], fig_.multihomed});
+  ASSERT_EQ(p.outcome, ProbeOutcome::kDelivered);
+  ASSERT_GE(p.path.size(), 2u);
+  EXPECT_EQ(p.path[p.path.size() - 2], high);
+
+  net_->set_link_state(*fig_.topo.find_link(low, fig_.multihomed), true);
+  engine_.run();
+  expect_owner_everywhere(fig_.multihomed, low);
+  expect_probes_match_ground_truth();
+}
+
+INSTANTIATE_TEST_SUITE_P(LsDesigns, HierarchicalLsTest,
+                         ::testing::Values("ls-hbh", "orwg"),
+                         [](const auto& info) {
+                           return info.param == "ls-hbh" ? "LsHbh" : "Orwg";
+                         });
 
 class LshhTest : public ::testing::Test {
  protected:

@@ -21,8 +21,6 @@
 // high-water mark; each row reports the mark after its run, which is
 // only meaningful relative to earlier rows.
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,14 +30,9 @@
 
 #include "core/chaos.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace {
-
-long peak_rss_kb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;  // KiB on Linux
-}
 
 struct Row {
   idr::ScaleChaosResult res;
@@ -59,7 +52,7 @@ Row run_cell(const std::string& arch, const idr::ScaleChaosParams& params,
   row.res = idr::run_scale_chaos(arch, params);
   const auto t1 = std::chrono::steady_clock::now();
   row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  row.rss_after_kb = peak_rss_kb();
+  row.rss_after_kb = idr::peak_rss_kb();
   std::fprintf(stderr,
                "%-6s %-14s damping=%d transitions=%-4zu conv=%7.1fms "
                "reconv=%8.1fms storm_msgs=%-8llu persistent=%llu\n",

@@ -33,8 +33,6 @@
 // cell is the measurement; same seed, same storm schedule, same counter
 // fingerprint. Peak-RSS caveat as in bench_chaos_scale.
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -44,14 +42,9 @@
 
 #include "core/chaos.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace {
-
-long peak_rss_kb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;  // KiB on Linux
-}
 
 struct Row {
   idr::ScaleChaosResult res;
@@ -68,7 +61,7 @@ Row run_cell(const std::string& arch, const std::string& mode,
   row.res = idr::run_scale_chaos(arch, params);
   const auto t1 = std::chrono::steady_clock::now();
   row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  row.rss_after_kb = peak_rss_kb();
+  row.rss_after_kb = idr::peak_rss_kb();
   std::fprintf(
       stderr,
       "%-6s %-8s crashes=%-3zu continuity=%6.2f%% (%llu/%llu) "

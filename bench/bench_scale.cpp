@@ -32,8 +32,6 @@
 // before and after its run; the per-run delta is only meaningful for the
 // largest size so far.
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -50,6 +48,7 @@
 #include "sim/shard.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -57,12 +56,6 @@ constexpr std::uint64_t kProfileSeed = 0x5ca1eULL;
 constexpr std::uint32_t kBeacons = 64;
 constexpr std::size_t kProbes = 256;
 constexpr std::size_t kMaxEvents = 2'000'000'000;
-
-long peak_rss_kb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;  // KiB on Linux
-}
 
 struct Row {
   std::string arch;
@@ -88,7 +81,7 @@ Row run_cell(const std::string& arch, idr::ScaleProfile& profile) {
   row.ads = static_cast<std::uint32_t>(profile.topo.ad_count());
   row.transit_ads = static_cast<std::uint32_t>(profile.transits.size());
   row.links = profile.topo.link_count();
-  row.rss_before_kb = peak_rss_kb();
+  row.rss_before_kb = idr::peak_rss_kb();
 
   idr::Engine engine(idr::SchedulerKind::kCalendar);
   idr::Network net(engine, profile.topo);
@@ -134,7 +127,7 @@ Row run_cell(const std::string& arch, idr::ScaleProfile& profile) {
       ++row.probe_delivered;
     }
   }
-  row.rss_after_kb = peak_rss_kb();
+  row.rss_after_kb = idr::peak_rss_kb();
   return row;
 }
 

@@ -1,21 +1,11 @@
 #include "core/adapters.hpp"
 
-#include <unordered_set>
+#include <utility>
 
 #include "proto/ecma/partial_order.hpp"
 #include "util/check.hpp"
 
 namespace idr {
-namespace {
-
-// Per-AD stub/hybrid shaping shared by the adapters that must derive
-// policy from roles (the architectures that cannot read Policy Terms).
-bool is_stub_role(const Topology& topo, AdId ad) {
-  const AdRole role = topo.ad(ad).role;
-  return role == AdRole::kStub || role == AdRole::kMultiHomed;
-}
-
-}  // namespace
 
 // --- DV (RIP baseline) ---
 
@@ -28,10 +18,11 @@ void DvArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace DvArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->next_hop(flow.dst);
-  });
+Probe DvArchitecture::probe(const FlowSpec& flow) {
+  return walk_probe(*net_, topo_, flow.src, flow.dst,
+                    [&](AdId cur, const std::vector<AdId>&) {
+                      return nodes_[cur.v]->next_hop(flow.dst);
+                    });
 }
 
 std::size_t DvArchitecture::state_entries() const {
@@ -51,10 +42,11 @@ void LsArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace LsArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->next_hop(flow.dst, flow.qos);
-  });
+Probe LsArchitecture::probe(const FlowSpec& flow) {
+  return walk_probe(*net_, topo_, flow.src, flow.dst,
+                    [&](AdId cur, const std::vector<AdId>&) {
+                      return nodes_[cur.v]->next_hop(flow.dst, flow.qos);
+                    });
 }
 
 std::size_t LsArchitecture::state_entries() const {
@@ -90,10 +82,11 @@ void EgpArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace EgpArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->next_hop(flow.dst);
-  });
+Probe EgpArchitecture::probe(const FlowSpec& flow) {
+  return walk_probe(*net_, topo_, flow.src, flow.dst,
+                    [&](AdId cur, const std::vector<AdId>&) {
+                      return nodes_[cur.v]->next_hop(flow.dst);
+                    });
 }
 
 std::size_t EgpArchitecture::state_entries() const {
@@ -111,48 +104,7 @@ std::size_t EgpArchitecture::state_entries() const {
 void EcmaArchitecture::attach_nodes() {
   order_ = compute_partial_order(topo_, {});
   IDR_CHECK_MSG(order_.ok, "structural ordering conflict");
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    EcmaConfig config;
-    config.stub = is_stub_role(topo_, ad.id);
-    if (ad.role == AdRole::kHybrid) {
-      // ECMA can express destination filters only: a hybrid AD serves
-      // transit solely toward its own neighbors.
-      for (const Adjacency& adj : topo_.neighbors(ad.id)) {
-        config.export_dsts.insert(adj.neighbor.v);
-      }
-    }
-    auto node = std::make_unique<EcmaNode>(&order_.order, std::move(config));
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace EcmaArchitecture::trace(const FlowSpec& flow) {
-  RouteTrace result;
-  std::vector<AdId> path{flow.src};
-  std::vector<bool> seen(topo_.ad_count(), false);
-  seen[flow.src.v] = true;
-  bool gone_down = false;
-  AdId cur = flow.src;
-  while (cur != flow.dst) {
-    const auto fwd = nodes_[cur.v]->forward(flow.dst, flow.qos, gone_down);
-    if (!fwd) return result;
-    if (seen[fwd->via.v]) {
-      result.looped = true;
-      return result;
-    }
-    gone_down = gone_down || fwd->sets_gone_down;
-    seen[fwd->via.v] = true;
-    path.push_back(fwd->via);
-    cur = fwd->via;
-    if (path.size() > topo_.ad_count()) {
-      result.looped = true;
-      return result;
-    }
-  }
-  result.path = std::move(path);
-  return result;
+  attach_design(&order_);
 }
 
 std::size_t EcmaArchitecture::state_entries() const {
@@ -163,22 +115,6 @@ std::size_t EcmaArchitecture::state_entries() const {
 
 // --- IDRP ---
 
-void IdrpArchitecture::attach_nodes() {
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    auto node = std::make_unique<IdrpNode>(policies_, config_);
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace IdrpArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>& path) {
-    const AdId prev = path.size() >= 2 ? path[path.size() - 2] : kNoAd;
-    return nodes_[cur.v]->forward(flow, prev);
-  });
-}
-
 std::size_t IdrpArchitecture::state_entries() const {
   std::size_t n = 0;
   for (const IdrpNode* node : nodes_) {
@@ -188,21 +124,6 @@ std::size_t IdrpArchitecture::state_entries() const {
 }
 
 // --- LSHH ---
-
-void LshhArchitecture::attach_nodes() {
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    auto node = std::make_unique<LshhNode>(policies_);
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace LshhArchitecture::trace(const FlowSpec& flow) {
-  return walk(flow, [&](AdId cur, const std::vector<AdId>&) {
-    return nodes_[cur.v]->forward(flow);
-  });
-}
 
 std::size_t LshhArchitecture::state_entries() const {
   std::size_t n = 0;
@@ -219,22 +140,6 @@ std::uint64_t LshhArchitecture::computations() const {
 }
 
 // --- ORWG ---
-
-void OrwgArchitecture::attach_nodes() {
-  nodes_.clear();
-  for (const Ad& ad : topo_.ads()) {
-    auto node = std::make_unique<OrwgNode>(policies_, config_);
-    nodes_.push_back(node.get());
-    net_->attach(ad.id, std::move(node));
-  }
-}
-
-RouteTrace OrwgArchitecture::trace(const FlowSpec& flow) {
-  RouteTrace result;
-  auto path = nodes_[flow.src.v]->policy_route(flow);
-  if (path) result.path = std::move(*path);
-  return result;  // source routes cannot loop (synthesis is simple-path)
-}
 
 std::size_t OrwgArchitecture::state_entries() const {
   std::size_t n = 0;
@@ -262,10 +167,12 @@ void DvsrArchitecture::attach_nodes() {
   }
 }
 
-RouteTrace DvsrArchitecture::trace(const FlowSpec& flow) {
-  RouteTrace result;
+Probe DvsrArchitecture::probe(const FlowSpec& flow) {
+  Probe result;
   auto path = nodes_[flow.src.v]->source_route(flow);
-  if (path) result.path = std::move(*path);
+  if (!path) return result;  // kBlackHole
+  result.path = std::move(*path);
+  result.outcome = ProbeOutcome::kDelivered;
   return result;
 }
 

@@ -1,22 +1,26 @@
 // Concrete RoutingArchitecture adapters, one per protocol family -- the
 // executable rows of the paper's Table 1 plus the pre-policy baselines
-// of §3. Each adapter instantiates its protocol's nodes over the scenario
-// topology and maps the common harness queries (trace / state /
-// computations / header cost) onto the protocol's own structures.
+// of §3. Each adapter maps the common harness queries (trace / state /
+// computations / header cost) onto its protocol's own structures.
+//
+// The four detailed design points (§5.1-§5.4) do not build or walk
+// anything themselves: DesignPointArchitecture attaches their nodes
+// through make_design_factory (refresh off, undefended) and traces
+// through make_design_probe, the same path the chaos, simtest and scale
+// runs take (core/design_harness.hpp). The baselines build their own
+// nodes and walk them with the harness's walk_probe.
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "core/design_harness.hpp"
 #include "proto/dv/dv_node.hpp"
 #include "proto/dvsr/dvsr_node.hpp"
-#include "proto/ecma/ecma_node.hpp"
 #include "proto/egp/egp_node.hpp"
-#include "proto/idrp/idrp_node.hpp"
 #include "proto/ls/ls_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
-#include "proto/orwg/orwg_node.hpp"
 
 namespace idr {
 
@@ -33,7 +37,6 @@ class DvArchitecture final : public RoutingArchitecture {
     return {Algorithm::kDistanceVector, Decision::kHopByHop,
             PolicyExpression::kNone};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -42,6 +45,7 @@ class DvArchitecture final : public RoutingArchitecture {
 
  protected:
   void attach_nodes() override;
+  [[nodiscard]] Probe probe(const FlowSpec& flow) override;
 
  private:
   DvConfig config_;
@@ -55,7 +59,6 @@ class LsArchitecture final : public RoutingArchitecture {
     return {Algorithm::kLinkState, Decision::kHopByHop,
             PolicyExpression::kNone};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override;
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -64,6 +67,7 @@ class LsArchitecture final : public RoutingArchitecture {
 
  protected:
   void attach_nodes() override;
+  [[nodiscard]] Probe probe(const FlowSpec& flow) override;
 
  private:
   std::vector<LsNode*> nodes_;
@@ -77,7 +81,6 @@ class EgpArchitecture final : public RoutingArchitecture {
             PolicyExpression::kNone};
   }
   [[nodiscard]] bool applicable(const Topology& topo) const override;
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -86,6 +89,7 @@ class EgpArchitecture final : public RoutingArchitecture {
 
  protected:
   void attach_nodes() override;
+  [[nodiscard]] Probe probe(const FlowSpec& flow) override;
 
  private:
   std::vector<EgpNode*> nodes_;
@@ -93,15 +97,50 @@ class EgpArchitecture final : public RoutingArchitecture {
 
 // --- The paper's four detailed design points (§5.1-§5.4) ---
 
+// Shared body of the four design-point adapters: one factory-built node
+// per AD and the harness probe for traces.
+template <typename NodeT>
+class DesignPointArchitecture : public RoutingArchitecture {
+ public:
+  [[nodiscard]] const std::vector<NodeT*>& nodes() const noexcept {
+    return nodes_;
+  }
+
+ protected:
+  void attach_nodes() override { attach_design(nullptr); }
+  // Attach make_design_factory's nodes for name() over base_ (periodic
+  // refresh off: build() runs to quiescence) and arm make_design_probe.
+  void attach_design(const OrderResult* order) {
+    base_.periodic_refresh_ms = 0.0;
+    const Network::NodeFactory factory =
+        make_design_factory(name(), topo_, *policies_, order, base_);
+    nodes_.clear();
+    for (const Ad& ad : topo_.ads()) {
+      std::unique_ptr<Node> node = factory(ad.id);
+      nodes_.push_back(static_cast<NodeT*>(node.get()));
+      net_->attach(ad.id, std::move(node));
+    }
+    probe_ = make_design_probe(name(), *net_, topo_);
+  }
+  [[nodiscard]] Probe probe(const FlowSpec& flow) override {
+    return probe_(flow);
+  }
+
+  HarnessConfig base_;  // undefended; the adapter's protocol config
+  std::vector<NodeT*> nodes_;
+
+ private:
+  FlowProbeFn probe_;
+};
+
 // §5.1: distance vector, hop-by-hop, policy in topology (partial order).
-class EcmaArchitecture final : public RoutingArchitecture {
+class EcmaArchitecture final : public DesignPointArchitecture<EcmaNode> {
  public:
   [[nodiscard]] std::string name() const override { return "ecma"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kDistanceVector, Decision::kHopByHop,
             PolicyExpression::kTopology};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
@@ -116,71 +155,48 @@ class EcmaArchitecture final : public RoutingArchitecture {
 
  private:
   OrderResult order_;
-  std::vector<EcmaNode*> nodes_;
 };
 
 // §5.2: distance vector (path vector), hop-by-hop, explicit policy terms.
-class IdrpArchitecture final : public RoutingArchitecture {
+class IdrpArchitecture final : public DesignPointArchitecture<IdrpNode> {
  public:
-  explicit IdrpArchitecture(IdrpConfig config = {}) : config_(config) {}
+  explicit IdrpArchitecture(IdrpConfig config = {}) { base_.idrp = config; }
   [[nodiscard]] std::string name() const override { return "idrp"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kDistanceVector, Decision::kHopByHop,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
     return 16;  // type + src + dst + qos + uci + hour + attr-class id
   }
-  [[nodiscard]] const std::vector<IdrpNode*>& nodes() const noexcept {
-    return nodes_;
-  }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  IdrpConfig config_;
-  std::vector<IdrpNode*> nodes_;
 };
 
 // §5.3: link state, hop-by-hop, explicit policy terms.
-class LshhArchitecture final : public RoutingArchitecture {
+class LshhArchitecture final : public DesignPointArchitecture<LshhNode> {
  public:
   [[nodiscard]] std::string name() const override { return "ls-hbh"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kLinkState, Decision::kHopByHop,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override;
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
     return 15;  // type + src + dst + qos + uci + hour
   }
-  [[nodiscard]] const std::vector<LshhNode*>& nodes() const noexcept {
-    return nodes_;
-  }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  std::vector<LshhNode*> nodes_;
 };
 
 // §5.4: link state, source routing, explicit policy terms (ORWG/IDPR).
-class OrwgArchitecture final : public RoutingArchitecture {
+class OrwgArchitecture final : public DesignPointArchitecture<OrwgNode> {
  public:
-  explicit OrwgArchitecture(OrwgConfig config = {}) : config_(config) {}
+  explicit OrwgArchitecture(OrwgConfig config = {}) { base_.orwg = config; }
   [[nodiscard]] std::string name() const override { return "orwg"; }
   [[nodiscard]] DesignPoint design_point() const override {
     return {Algorithm::kLinkState, Decision::kSourceRouting,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override;
   // Established PRs forward on an 8-byte handle, not the full route.
@@ -190,16 +206,6 @@ class OrwgArchitecture final : public RoutingArchitecture {
   [[nodiscard]] std::size_t setup_header_bytes(std::size_t path_len) const {
     return 22 + 4 * path_len;  // setup carries the full policy route
   }
-  [[nodiscard]] const std::vector<OrwgNode*>& nodes() const noexcept {
-    return nodes_;
-  }
-
- protected:
-  void attach_nodes() override;
-
- private:
-  OrwgConfig config_;
-  std::vector<OrwgNode*> nodes_;
 };
 
 // §5.5.2: distance vector + source routing hybrid.
@@ -211,7 +217,6 @@ class DvsrArchitecture final : public RoutingArchitecture {
     return {Algorithm::kDistanceVector, Decision::kSourceRouting,
             PolicyExpression::kPolicyTerms};
   }
-  [[nodiscard]] RouteTrace trace(const FlowSpec& flow) override;
   [[nodiscard]] std::size_t state_entries() const override;
   [[nodiscard]] std::uint64_t computations() const override { return 0; }
   [[nodiscard]] std::size_t header_bytes(std::size_t path_len) const override {
@@ -220,6 +225,7 @@ class DvsrArchitecture final : public RoutingArchitecture {
 
  protected:
   void attach_nodes() override;
+  [[nodiscard]] Probe probe(const FlowSpec& flow) override;
 
  private:
   IdrpConfig config_;

@@ -1,5 +1,7 @@
 #include "core/architecture.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace idr {
@@ -27,6 +29,16 @@ const char* to_string(PolicyExpression p) noexcept {
     case PolicyExpression::kPolicyTerms: return "policy-terms";
   }
   return "?";
+}
+
+RouteTrace RoutingArchitecture::trace(const FlowSpec& flow) {
+  Probe walked = probe(flow);
+  RouteTrace result;
+  result.looped = walked.outcome == ProbeOutcome::kLooped;
+  if (walked.outcome == ProbeOutcome::kDelivered) {
+    result.path = std::move(walked.path);
+  }
+  return result;
 }
 
 std::string DesignPoint::describe() const {

@@ -21,6 +21,7 @@
 #include "policy/database.hpp"
 #include "policy/flow.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariants.hpp"
 #include "sim/network.hpp"
 #include "topology/graph.hpp"
 
@@ -71,7 +72,7 @@ class RoutingArchitecture {
   ConvergenceStats perturb(LinkId link, bool up);
 
   // Trace the AD-level path of one flow through the data plane.
-  [[nodiscard]] virtual RouteTrace trace(const FlowSpec& flow) = 0;
+  [[nodiscard]] RouteTrace trace(const FlowSpec& flow);
 
   // Total control/forwarding state entries across all ADs (RIB routes,
   // FIB entries, flow caches, PR handles -- whatever the architecture
@@ -105,33 +106,9 @@ class RoutingArchitecture {
   // Subclass hook: attach one node per AD to network().
   virtual void attach_nodes() = 0;
 
-  // Walk a hop-by-hop data plane: repeatedly ask `next` for the successor
-  // until dst, drop (nullopt) or a loop. Shared by the HbH adapters.
-  template <typename NextFn>
-  [[nodiscard]] RouteTrace walk(const FlowSpec& flow, NextFn&& next) const {
-    RouteTrace result;
-    std::vector<AdId> path{flow.src};
-    std::vector<bool> seen(topo_.ad_count(), false);
-    seen[flow.src.v] = true;
-    AdId cur = flow.src;
-    while (cur != flow.dst) {
-      const std::optional<AdId> hop = next(cur, path);
-      if (!hop) return result;  // dropped: no route at this AD
-      if (seen[hop->v]) {
-        result.looped = true;
-        return result;
-      }
-      seen[hop->v] = true;
-      path.push_back(*hop);
-      cur = *hop;
-      if (path.size() > topo_.ad_count()) {
-        result.looped = true;
-        return result;
-      }
-    }
-    result.path = std::move(path);
-    return result;
-  }
+  // Subclass hook: walk one flow through the data plane (walk_probe for
+  // hop-by-hop designs, the source route for source-routed ones).
+  [[nodiscard]] virtual Probe probe(const FlowSpec& flow) = 0;
 
   Topology topo_;  // private copy; protocols mutate link state through it
   const PolicySet* policies_ = nullptr;

@@ -78,15 +78,7 @@ ChaosResult run_chaos(const std::string& arch, const ChaosParams& params) {
       byz_schedule.push_back(spec);
     }
   }
-  if (defended) {
-    // Per-AD LSA authentication keys (modeled shared-secret registry).
-    std::uint64_t key_state = params.seed ^ 0x6b657973ULL;
-    lsa_keys.resize(topo.ad_count());
-    for (auto& key : lsa_keys) {
-      key = splitmix64(key_state);
-      if (key == 0) key = 1;
-    }
-  }
+  if (defended) lsa_keys = make_lsa_keys(params.seed, topo.ad_count());
 
   // --- per-design-point node factory (also used for cold restarts) ----
   OrderResult order;

@@ -1,17 +1,13 @@
 #include "core/design_harness.hpp"
 
 #include <memory>
-#include <optional>
 #include <queue>
 #include <utility>
 
 #include "core/synthesis.hpp"
 #include "sim/shard.hpp"
-#include "proto/ecma/ecma_node.hpp"
-#include "proto/idrp/idrp_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
-#include "proto/orwg/orwg_node.hpp"
 #include "util/check.hpp"
+#include "util/prng.hpp"
 
 namespace idr {
 namespace {
@@ -21,42 +17,14 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) noexcept {
   return h * 0x100000001b3ULL;
 }
 
-// Hop-by-hop probe walk shared by the FIB-driven design points. `next_fn`
-// asks the node currently holding the packet for its successor; a crashed
-// node on the way (or no forwarding choice) is a black hole, a revisited
-// AD is a loop. A transit AD that is quarantined or actively dropping
-// traffic toward dst (Byzantine black hole / hijack) swallows the packet:
-// the walk records the control plane's choice, the drop is the data
-// plane's fate.
-template <typename NextFn>
-Probe walk_probe(const Network& net, const Topology& topo, AdId src,
-                 AdId dst, NextFn&& next_fn) {
-  Probe probe;
-  probe.path.push_back(src);
-  std::vector<bool> seen(topo.ad_count(), false);
-  seen[src.v] = true;
-  AdId cur = src;
-  while (cur != dst) {
-    if (cur != src &&
-        (net.is_quarantined(cur) || net.drops_traffic(cur, dst))) {
-      probe.outcome = ProbeOutcome::kBlackHole;
-      return probe;
-    }
-    const std::optional<AdId> next = next_fn(cur, probe.path);
-    if (!next) {
-      probe.outcome = ProbeOutcome::kBlackHole;
-      return probe;
-    }
-    if (seen[next->v] || probe.path.size() > topo.ad_count()) {
-      probe.outcome = ProbeOutcome::kLooped;
-      return probe;
-    }
-    seen[next->v] = true;
-    probe.path.push_back(*next);
-    cur = *next;
-  }
-  probe.outcome = ProbeOutcome::kDelivered;
-  return probe;
+// ECMA's transit shaping (paper §5.1): stub and multi-homed ADs never
+// transit; a hybrid transits only toward its own neighbors (ECMA can
+// express destination filters only). The factory's per-AD config encodes
+// the same rule from the node's side.
+bool ecma_transits(const Topology& topo, AdId ad, AdId dst) {
+  if (is_stub_role(topo, ad)) return false;
+  return topo.ad(ad).role != AdRole::kHybrid ||
+         topo.find_link(ad, dst).has_value();
 }
 
 // A node the ground-truth oracles must route around. Two notions:
@@ -108,6 +76,17 @@ bool is_stub_role(const Topology& topo, AdId ad) {
   return role == AdRole::kStub || role == AdRole::kMultiHomed;
 }
 
+std::vector<std::uint64_t> make_lsa_keys(std::uint64_t seed,
+                                         std::size_t ads) {
+  std::uint64_t key_state = seed ^ 0x6b657973ULL;
+  std::vector<std::uint64_t> keys(ads);
+  for (auto& key : keys) {
+    key = splitmix64(key_state);
+    if (key == 0) key = 1;
+  }
+  return keys;
+}
+
 Network::NodeFactory make_design_factory(const std::string& arch,
                                          const Topology& topo,
                                          const PolicySet& policies,
@@ -117,12 +96,19 @@ Network::NodeFactory make_design_factory(const std::string& arch,
   const double refresh = config.periodic_refresh_ms;
   const std::vector<std::uint64_t>* lsa_keys =
       defended ? config.lsa_keys : nullptr;
+  const std::vector<char>* originators = config.originators;
+  const auto originates = [originators](AdId ad) {
+    return originators == nullptr || (*originators)[ad.v] != 0;
+  };
   if (arch == "ecma") {
     IDR_CHECK_MSG(order != nullptr, "ecma factory needs the partial order");
-    return [&topo, order, refresh, defended](AdId ad) -> std::unique_ptr<Node> {
-      EcmaConfig ecma_config;
+    return [&topo, order, refresh, defended, originates,
+            base = config.ecma](AdId ad) -> std::unique_ptr<Node> {
+      EcmaConfig ecma_config = base;
       ecma_config.stub = is_stub_role(topo, ad);
+      ecma_config.originate = originates(ad);
       ecma_config.receiver_order_check = defended;
+      ecma_config.export_dsts.clear();
       if (topo.ad(ad).role == AdRole::kHybrid) {
         for (const Adjacency& adj : topo.neighbors(ad)) {
           ecma_config.export_dsts.insert(adj.neighbor.v);
@@ -135,8 +121,10 @@ Network::NodeFactory make_design_factory(const std::string& arch,
     };
   }
   if (arch == "idrp") {
-    return [&policies, refresh, defended](AdId) -> std::unique_ptr<Node> {
-      IdrpConfig idrp_config;
+    return [&policies, refresh, defended, originates,
+            base = config.idrp](AdId ad) -> std::unique_ptr<Node> {
+      IdrpConfig idrp_config = base;
+      idrp_config.originate = originates(ad);
       idrp_config.defend = defended;
       auto node = std::make_unique<IdrpNode>(&policies, idrp_config);
       node->set_periodic_refresh(refresh);
@@ -144,9 +132,9 @@ Network::NodeFactory make_design_factory(const std::string& arch,
     };
   }
   if (arch == "ls-hbh") {
-    return [&policies, lsa_keys, refresh,
-            defended](AdId) -> std::unique_ptr<Node> {
-      LshhConfig lshh_config;
+    return [&policies, lsa_keys, refresh, defended,
+            base = config.lshh](AdId) -> std::unique_ptr<Node> {
+      LshhConfig lshh_config = base;
       lshh_config.lsa_keys = lsa_keys;
       lshh_config.registry = defended ? &policies : nullptr;
       auto node = std::make_unique<LshhNode>(&policies, lshh_config);
@@ -155,9 +143,9 @@ Network::NodeFactory make_design_factory(const std::string& arch,
     };
   }
   if (arch == "orwg") {
-    return [&policies, lsa_keys, refresh,
-            defended](AdId) -> std::unique_ptr<Node> {
-      OrwgConfig orwg_config;
+    return [&policies, lsa_keys, refresh, defended,
+            base = config.orwg](AdId) -> std::unique_ptr<Node> {
+      OrwgConfig orwg_config = base;
       orwg_config.periodic_refresh_ms = refresh;
       orwg_config.lsa_keys = lsa_keys;
       orwg_config.route_server.registry = defended ? &policies : nullptr;
@@ -260,15 +248,7 @@ bool ecma_reachable(const Network& net, const Topology& topo,
     const auto [cur, gone_down] = queue.front();
     queue.pop();
     if (cur == dst) return true;
-    if (cur != src) {
-      // Transit shaping mirrors the ECMA adapter: stub/multi-homed ADs
-      // never transit; hybrids transit only toward their own neighbors.
-      if (is_stub_role(topo, cur)) continue;
-      if (topo.ad(cur).role == AdRole::kHybrid &&
-          !topo.find_link(cur, dst)) {
-        continue;
-      }
-    }
+    if (cur != src && !ecma_transits(topo, cur, dst)) continue;
     for (const Adjacency& adj : topo.live_neighbors(cur)) {
       if (!net.usable(adj.neighbor)) continue;
       if (unusable_for(net, adj.neighbor, dst, quarantine_only)) continue;
@@ -325,20 +305,13 @@ PathComplianceFn make_design_compliance(const std::string& arch,
                                         const OrderResult* order) {
   if (arch == "ecma") {
     // ECMA's policy is structural: the delivered walk must be up*down*
-    // shaped and every intermediate must be transit-willing (mirrors
-    // ecma_reachable's shaping).
+    // shaped and every intermediate must be transit-willing.
     IDR_CHECK_MSG(order != nullptr, "ecma compliance needs the order");
     return [&topo, order](AdId, AdId dst, const std::vector<AdId>& path) {
       bool gone_down = false;
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const AdId cur = path[i];
-        if (i > 0) {
-          if (is_stub_role(topo, cur)) return false;
-          if (topo.ad(cur).role == AdRole::kHybrid &&
-              !topo.find_link(cur, dst)) {
-            return false;
-          }
-        }
+        if (i > 0 && !ecma_transits(topo, cur, dst)) return false;
         const bool up = order->order.is_up(cur, path[i + 1]);
         if (gone_down && up) return false;
         if (!up) gone_down = true;

@@ -1,24 +1,33 @@
-// Shared per-design-point harness: everything needed to stand up one of
-// the paper's four detailed design points (ECMA, IDRP, LS-HbH, ORWG) over
-// an arbitrary scenario and interrogate its data plane from the outside.
+// The one construction and walk path for the paper's four detailed
+// design points (ECMA, IDRP, LS-HbH, ORWG): everything needed to stand
+// one up over an arbitrary scenario and interrogate its data plane from
+// the outside.
 //
-// Both adversarial drivers build on this: the chaos layer (core/chaos.*)
-// runs the Figure 1 internetwork through randomized churn, and the
-// deterministic simulation-testing subsystem (simtest/*) runs generated
-// internets through scripted schedules and cross-checks every design
-// point against the ground-truth oracle. Keeping the node factories,
-// forwarding-walk probes and per-design ground-truth reachability in one
-// place guarantees the two drivers argue about the same protocols.
+// make_design_factory is the only place a design-point node is built,
+// and the only place per-AD decisions are made (stub role, hybrid export
+// set, beacon origination, periodic refresh, Byzantine defenses). Every
+// caller goes through it: the Table 1 adapters (core/adapters.*), the
+// paper-scale profile (core/scale_profile.*, which only translates its
+// knobs into base configs), the chaos layer (core/chaos.*) and the
+// deterministic simulation-testing subsystem (simtest/*). Likewise
+// walk_probe is the one hop-by-hop forwarding walk: make_design_probe
+// builds on it and so do the policy-blind baseline adapters. One path
+// guarantees every caller argues about the same protocols.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "policy/database.hpp"
 #include "policy/flow.hpp"
+#include "proto/ecma/ecma_node.hpp"
 #include "proto/ecma/partial_order.hpp"
+#include "proto/idrp/idrp_node.hpp"
+#include "proto/lshh/lshh_node.hpp"
+#include "proto/orwg/orwg_node.hpp"
 #include "sim/invariants.hpp"
 #include "sim/network.hpp"
 #include "topology/graph.hpp"
@@ -29,8 +38,7 @@ namespace idr {
 const std::vector<std::string>& design_point_names();
 [[nodiscard]] bool is_design_point(const std::string& arch);
 
-// Stub/multi-homed roles never transit (paper §2.1); shared by the
-// adapters that derive policy from roles.
+// Stub/multi-homed roles never transit (paper §2.1).
 [[nodiscard]] bool is_stub_role(const Topology& topo, AdId ad);
 
 // Engine backend selection shared by the differential runner and the
@@ -63,24 +71,81 @@ struct HarnessConfig {
   bool defended = false;
   // Periodic full-state refresh per node; 0 disables.
   double periodic_refresh_ms = 300.0;
-  // Per-AD LSA authentication keys for the defended LS designs; must
-  // outlive the factory. Ignored when null or not defended.
+  // Per-AD LSA authentication keys for the defended LS designs (see
+  // make_lsa_keys); must outlive the factory. Ignored when null or not
+  // defended.
   const std::vector<std::uint64_t>* lsa_keys = nullptr;
+  // DV family (ECMA, IDRP): only ADs with a nonzero entry originate
+  // reachability (the scale profile's beacons); null = every AD does.
+  // Must outlive the factory.
+  const std::vector<char>* originators = nullptr;
+  // Per-protocol base configs. The factory copies the one for its design
+  // point and derives the per-AD fields itself -- ECMA's stub role and
+  // hybrid export set, DV origination, periodic refresh and the defenses
+  // above -- overwriting whatever the base holds for them.
+  EcmaConfig ecma;
+  IdrpConfig idrp;
+  LshhConfig lshh;
+  OrwgConfig orwg;
 };
 
-// Node factory for `arch` over (topo, policies). `order` is required for
-// "ecma" (and must outlive the factory), ignored otherwise. The returned
-// factory is also suitable for Network::set_node_factory (cold restarts).
+// The defended LS designs' per-AD LSA authentication keys (a modeled
+// shared-secret registry), one per AD, derived from `seed`; never 0.
+[[nodiscard]] std::vector<std::uint64_t> make_lsa_keys(std::uint64_t seed,
+                                                       std::size_t ads);
+
+// Node factory for `arch` over (topo, policies): the only constructor of
+// design-point nodes. `order` is required for "ecma" (and must outlive
+// the factory), ignored otherwise. The returned factory is also suitable
+// for Network::set_node_factory (cold restarts).
 Network::NodeFactory make_design_factory(const std::string& arch,
                                          const Topology& topo,
                                          const PolicySet& policies,
                                          const OrderResult* order,
                                          const HarnessConfig& config);
 
+// Hop-by-hop forwarding walk shared by every FIB-driven data plane.
+// `next_fn(cur, path)` asks the node currently holding the packet for its
+// successor; no forwarding choice is a black hole, a revisited AD (or a
+// walk longer than the AD count) a loop. A transit AD that is quarantined
+// or actively dropping traffic toward dst (Byzantine black hole /
+// hijack) swallows the packet: the walk records the control plane's
+// choice, the drop is the data plane's fate.
+template <typename NextFn>
+[[nodiscard]] Probe walk_probe(const Network& net, const Topology& topo,
+                               AdId src, AdId dst, NextFn&& next_fn) {
+  Probe probe;
+  probe.path.push_back(src);
+  std::vector<bool> seen(topo.ad_count(), false);
+  seen[src.v] = true;
+  AdId cur = src;
+  while (cur != dst) {
+    if (cur != src &&
+        (net.is_quarantined(cur) || net.drops_traffic(cur, dst))) {
+      probe.outcome = ProbeOutcome::kBlackHole;
+      return probe;
+    }
+    const std::optional<AdId> next = next_fn(cur, probe.path);
+    if (!next) {
+      probe.outcome = ProbeOutcome::kBlackHole;
+      return probe;
+    }
+    if (seen[next->v] || probe.path.size() > topo.ad_count()) {
+      probe.outcome = ProbeOutcome::kLooped;
+      return probe;
+    }
+    seen[next->v] = true;
+    probe.path.push_back(*next);
+    cur = *next;
+  }
+  probe.outcome = ProbeOutcome::kDelivered;
+  return probe;
+}
+
 // Flow-granular forwarding-walk probe: walks `arch`'s current data plane
-// for one flow (hop-by-hop FIB walk, or the route server's answer for
-// ORWG) and reports delivery / loop / black hole plus the hops taken. A
-// quarantined or traffic-dropping AD on the way swallows the packet.
+// for one flow (walk_probe over the FIBs, or the route server's answer
+// for ORWG) and reports delivery / loop / black hole plus the hops taken.
+// A quarantined or traffic-dropping AD on the way swallows the packet.
 using FlowProbeFn = std::function<Probe(const FlowSpec&)>;
 FlowProbeFn make_design_probe(const std::string& arch, Network& net,
                               const Topology& topo);

@@ -1,13 +1,8 @@
 #include "core/scale_profile.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/design_harness.hpp"
-#include "proto/ecma/ecma_node.hpp"
-#include "proto/idrp/idrp_node.hpp"
-#include "proto/lshh/lshh_node.hpp"
-#include "proto/orwg/orwg_node.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -78,71 +73,27 @@ ScaleProfile make_scale_profile(std::uint32_t target_ads, std::uint64_t seed,
 
 Network::NodeFactory make_scale_factory(const std::string& arch,
                                         const ScaleProfile& profile,
-                                        double periodic_refresh_ms) {
-  ScaleFactoryOptions options;
-  options.periodic_refresh_ms = periodic_refresh_ms;
-  return make_scale_factory(arch, profile, options);
-}
-
-Network::NodeFactory make_scale_factory(const std::string& arch,
-                                        const ScaleProfile& profile,
                                         const ScaleFactoryOptions& options) {
-  const ScaleProfile* p = &profile;
-  const double refresh = options.periodic_refresh_ms;
-  const DampingConfig damping = options.damping;
-  const double holddown = options.ls_holddown_ms;
-  const GrConfig gr = options.gr;
-  if (arch == "ecma") {
-    return [p, refresh, damping, gr](AdId ad) -> std::unique_ptr<Node> {
-      EcmaConfig config;
-      config.qos_mask = 1;  // single traffic class at scale
-      config.stub = is_stub_role(p->topo, ad);
-      config.originate = p->is_beacon[ad.v] != 0;
-      config.mrai_ms = 10.0;  // coalesce the per-beacon update waves
-      config.damping = damping;
-      config.gr = gr;
-      auto node = std::make_unique<EcmaNode>(&p->order.order, config);
-      node->set_periodic_refresh(refresh);
-      return node;
-    };
-  }
-  if (arch == "idrp") {
-    return [p, refresh, damping, gr](AdId ad) -> std::unique_ptr<Node> {
-      IdrpConfig config;
-      config.routes_per_dest = 1;  // one route per beacon destination
-      config.originate = p->is_beacon[ad.v] != 0;
-      config.mrai_ms = 10.0;
-      config.shared_updates = true;  // open terms: one encode per wave
-      config.damping = damping;
-      config.gr = gr;
-      auto node = std::make_unique<IdrpNode>(&p->policies, config);
-      node->set_periodic_refresh(refresh);
-      return node;
-    };
-  }
-  if (arch == "ls-hbh") {
-    return [p, refresh, holddown, gr](AdId) -> std::unique_ptr<Node> {
-      LshhConfig config;
-      config.hierarchical = true;
-      config.link_holddown_ms = holddown;
-      config.gr = gr;
-      auto node = std::make_unique<LshhNode>(&p->policies, config);
-      node->set_periodic_refresh(refresh);
-      return node;
-    };
-  }
-  if (arch == "orwg") {
-    return [p, refresh, holddown, gr](AdId) -> std::unique_ptr<Node> {
-      OrwgConfig config;
-      config.hierarchical = true;
-      config.periodic_refresh_ms = refresh;
-      config.link_holddown_ms = holddown;
-      config.gr = gr;
-      return std::make_unique<OrwgNode>(&p->policies, config);
-    };
-  }
-  IDR_CHECK_MSG(false, "unknown design point");
-  return {};
+  HarnessConfig config;
+  config.periodic_refresh_ms = 0.0;
+  config.originators = &profile.is_beacon;
+  config.ecma.qos_mask = 1;  // single traffic class at scale
+  config.ecma.mrai_ms = 10.0;  // coalesce the per-beacon update waves
+  config.ecma.damping = options.damping;
+  config.ecma.gr = options.gr;
+  config.idrp.routes_per_dest = 1;  // one route per beacon destination
+  config.idrp.mrai_ms = 10.0;
+  config.idrp.shared_updates = true;  // open terms: one encode per wave
+  config.idrp.damping = options.damping;
+  config.idrp.gr = options.gr;
+  config.lshh.hierarchical = true;
+  config.lshh.link_holddown_ms = options.ls_holddown_ms;
+  config.lshh.gr = options.gr;
+  config.orwg.hierarchical = true;
+  config.orwg.link_holddown_ms = options.ls_holddown_ms;
+  config.orwg.gr = options.gr;
+  return make_design_factory(arch, profile.topo, profile.policies,
+                             &profile.order, config);
 }
 
 ShardPlan make_scale_shard_plan(const ScaleProfile& profile,

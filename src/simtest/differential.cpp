@@ -162,14 +162,7 @@ ArchRunOutput run_one(const std::string& arch, const SimCase& c,
   }
   const bool defended = !byz.empty();
   std::vector<std::uint64_t> lsa_keys;
-  if (defended) {
-    std::uint64_t key_state = c.seed ^ 0x6b657973ULL;
-    lsa_keys.resize(topo.ad_count());
-    for (auto& key : lsa_keys) {
-      key = splitmix64(key_state);
-      if (key == 0) key = 1;
-    }
-  }
+  if (defended) lsa_keys = make_lsa_keys(c.seed, topo.ad_count());
 
   HarnessConfig harness;
   harness.defended = defended;

@@ -1,5 +1,7 @@
 #include "util/stats.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +10,12 @@
 #include "util/check.hpp"
 
 namespace idr {
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;  // KiB on Linux
+}
 
 double Summary::sum() const noexcept {
   return std::accumulate(samples_.begin(), samples_.end(), 0.0);

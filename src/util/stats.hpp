@@ -1,5 +1,6 @@
 // Small statistics helpers used by benchmarks and tests: running summary
-// statistics and exact percentiles over collected samples.
+// statistics, exact percentiles over collected samples, and the
+// process's peak memory.
 #pragma once
 
 #include <cstddef>
@@ -7,6 +8,10 @@
 #include <vector>
 
 namespace idr {
+
+// Peak resident set size of this process so far, in KiB
+// (getrusage(RUSAGE_SELF).ru_maxrss: process-wide and monotone).
+[[nodiscard]] long peak_rss_kb();
 
 // Accumulates samples; computes summary statistics on demand.
 class Summary {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "core/adapters.hpp"
 #include "core/metrics.hpp"
 #include "core/oracle.hpp"
@@ -174,6 +178,130 @@ TEST(Evaluate, PolicyBlindBaselineViolatesPolicy) {
   // RIP-style routing ignores policy entirely: it forwards along
   // shortest paths straight through ADs that forbid the traffic.
   EXPECT_GT(eval.illegal, 0u);
+}
+
+// Golden values for every make_policy_architectures() entry: initial
+// convergence, state and computation totals, and a digest of every
+// (src, dst) trace before and after one transit link fails. Any change
+// to how an adapter builds its nodes or walks its data plane moves at
+// least one of these numbers; a mismatch prints the measured rows.
+struct Golden {
+  std::string arch;
+  std::size_t events;
+  std::uint64_t messages;
+  std::uint64_t bytes;
+  std::size_t state;
+  std::uint64_t computations;
+  std::uint64_t digest_before;
+  std::uint64_t digest_after;
+  bool operator==(const Golden&) const = default;
+};
+
+// FNV-1a over the outcome and hops of every ordered (src, dst) trace.
+std::uint64_t trace_digest(RoutingArchitecture& arch) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  const std::vector<Ad>& ads = arch.topo().ads();
+  for (const Ad& src : ads) {
+    for (const Ad& dst : ads) {
+      if (src.id == dst.id) continue;
+      const RouteTrace trace = arch.trace(FlowSpec{src.id, dst.id});
+      mix(trace.looped ? 1 : 0);
+      mix(trace.path ? trace.path->size() : 0);
+      if (trace.path) {
+        for (const AdId hop : *trace.path) mix(hop.v);
+      }
+    }
+  }
+  return h;
+}
+
+// The lowest-numbered link between two transit-capable ADs.
+LinkId first_transit_link(const Topology& topo) {
+  for (const Link& link : topo.links()) {
+    if (topo.can_transit(link.a) && topo.can_transit(link.b)) return link.id;
+  }
+  return LinkId{};
+}
+
+// Prints a row as the initializer that would pin it.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << "{\"" << g.arch << "\", " << g.events << ", " << g.messages
+      << ", " << g.bytes << ", " << g.state << ", " << g.computations
+      << ", 0x" << std::hex << g.digest_before << "ULL, 0x"
+      << g.digest_after << "ULL}" << std::dec;
+}
+
+Golden measure(RoutingArchitecture& arch, const Topology& topo,
+               const PolicySet& policies, LinkId cut) {
+  Golden got{};
+  got.arch = arch.name();
+  arch.build(topo, policies);
+  const ConvergenceStats& conv = arch.initial_convergence();
+  got.events = conv.events;
+  got.messages = conv.messages;
+  got.bytes = conv.bytes;
+  got.digest_before = trace_digest(arch);
+  got.state = arch.state_entries();
+  got.computations = arch.computations();
+  (void)arch.perturb(cut, false);
+  got.digest_after = trace_digest(arch);
+  return got;
+}
+
+void expect_golden(const Topology& topo, const PolicySet& policies,
+                   const std::vector<Golden>& golden) {
+  const LinkId cut = first_transit_link(topo);
+  ASSERT_TRUE(cut.valid());
+  std::vector<Golden> got;
+  for (const auto& arch : make_policy_architectures()) {
+    got.push_back(measure(*arch, topo, policies, cut));
+  }
+  EXPECT_EQ(got, golden);
+}
+
+TEST_F(ArchTest, GoldenAdaptersOnFigure1) {
+  expect_golden(fig_.topo, policies_, {
+      {"dv-rip", 1112, 1112, 49146, 256, 0, 0x3babeb062a955f21ULL,
+       0x5a91851b7d33f9e7ULL},
+      {"ls-ospf", 368, 368, 14536, 960, 64, 0x4337a1bb23420999ULL,
+       0x5a91851b7d33f9e7ULL},
+      {"ecma", 626, 626, 255446, 1240, 0, 0xe934a9d40c50930bULL,
+       0xcfc87fb091d7f18bULL},
+      {"idrp", 368, 368, 79358, 581, 0, 0xf06885a090e215abULL,
+       0xc59004924ea847d7ULL},
+      {"ls-hbh", 368, 368, 22540, 938, 682, 0x657434314abdaaadULL,
+       0xc59004924ea847d7ULL},
+      {"orwg", 368, 368, 19964, 496, 240, 0x657434314abdaaadULL,
+       0xc59004924ea847d7ULL},
+      {"dv-sr", 368, 368, 79358, 581, 0, 0xf06885a090e215abULL,
+       0xc59004924ea847d7ULL},
+  });
+}
+
+TEST(Golden, AdaptersOnScenarioSeed1) {
+  ScenarioParams params;
+  params.seed = 1;
+  const Scenario scenario = make_scenario(params);
+  expect_golden(scenario.topo, scenario.policies, {
+      {"dv-rip", 11586, 11586, 1633356, 3844, 0, 0x6826010c6035e753ULL,
+       0x6e8f7b47d61dd5f9ULL},
+      {"ls-ospf", 5270, 5270, 206890, 15128, 248, 0x99b42237d3b53917ULL,
+       0xf49d5417e46e6bc7ULL},
+      {"ecma", 9052, 9052, 10054164, 16332, 0, 0xb27dcf54c5de541dULL,
+       0xc9caf26e60805c2dULL},
+      {"idrp", 4694, 4694, 42396603, 23670, 0, 0xf1e6d4ab7dd0660dULL,
+       0x5ea5655d408c68fdULL},
+      {"ls-hbh", 5270, 5270, 435200, 15328, 11484, 0xd77e4d9844a6976dULL,
+       0xd363982f39cd6c85ULL},
+      {"orwg", 5270, 5270, 396270, 7139, 3782, 0xd77e4d9844a6976dULL,
+       0xd363982f39cd6c85ULL},
+      {"dv-sr", 4694, 4694, 42396603, 23670, 0, 0xe026b6d004d57c64ULL,
+       0x89f662a2c00989adULL},
+  });
 }
 
 TEST(Scenario, DeterministicForSeed) {

@@ -7,8 +7,6 @@
 // memory footprint.
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-
 #include <memory>
 #include <string>
 
@@ -17,6 +15,7 @@
 #include "sim/engine.hpp"
 #include "sim/invariants.hpp"
 #include "sim/network.hpp"
+#include "util/stats.hpp"
 
 namespace idr {
 namespace {
@@ -28,12 +27,6 @@ constexpr std::size_t kSamplePairs = 128;
 // peaks near 210 MB (BENCH_scale.json); 1 GiB leaves headroom without
 // letting a superlinear regression through.
 constexpr long kMaxRssKb = 1'048'576;
-
-long peak_rss_kb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;  // KiB on Linux
-}
 
 TEST(ScaleSoak, AllDesignPointsConvergeCleanAtTenThousandAds) {
   ScaleProfile profile = make_scale_profile(kTargetAds, kProfileSeed);
@@ -58,14 +51,9 @@ TEST(ScaleSoak, AllDesignPointsConvergeCleanAtTenThousandAds) {
     InvariantConfig config;
     config.sample_pairs = kSamplePairs;
     config.dst_pool = profile.beacons;
-    const auto probe = make_design_probe(arch, net, profile.topo);
-    InvariantMonitor monitor(net, config,
-                             [&probe](AdId src, AdId dst) {
-                               FlowSpec flow;
-                               flow.src = src;
-                               flow.dst = dst;
-                               return probe(flow);
-                             });
+    InvariantMonitor monitor(
+        net, config,
+        make_pair_probe(make_design_probe(arch, net, profile.topo)));
     monitor.sweep();
     const InvariantStats& stats = monitor.stats();
     EXPECT_EQ(stats.persistent_violations(), 0u);

@@ -31,11 +31,28 @@ void AdSet::encode(wire::Writer& w) const {
 }
 
 AdSet AdSet::decode(wire::Reader& r) {
-  const std::uint8_t any = r.u8();
-  if (any) return AdSet::any();
-  std::vector<AdId> members;
-  for (std::uint32_t v : r.u32_list()) members.push_back(AdId{v});
-  return AdSet::of(std::move(members));
+  AdSet s;
+  s.decode_into(r);
+  return s;
+}
+
+void AdSet::decode_into(wire::Reader& r) {
+  any_ = r.u8() != 0;
+  members_.clear();
+  if (any_) return;
+  const std::uint16_t len = r.u16();
+  // Reserve no more than the buffer can hold: the length is wire input.
+  members_.reserve(std::min<std::size_t>(len, r.remaining() / 4));
+  for (std::uint16_t i = 0; i < len && r.ok(); ++i) {
+    members_.push_back(AdId{r.u32()});
+  }
+  if (!r.ok()) {
+    members_.clear();
+    return;
+  }
+  std::sort(members_.begin(), members_.end());
+  members_.erase(std::unique(members_.begin(), members_.end()),
+                 members_.end());
 }
 
 bool PolicyTerm::hour_in_window(std::uint8_t hour) const noexcept {

@@ -36,6 +36,9 @@ class AdSet {
 
   void encode(wire::Writer& w) const;
   static AdSet decode(wire::Reader& r);
+  // Decodes into this set, reusing the member list's capacity. On a short
+  // read the reader is left failed and the set is empty.
+  void decode_into(wire::Reader& r);
 
   friend bool operator==(const AdSet&, const AdSet&) = default;
 

@@ -66,14 +66,12 @@ void RouteAttrs::encode(wire::Writer& w) const {
   w.u32(cost);
 }
 
-RouteAttrs RouteAttrs::decode(wire::Reader& r) {
-  RouteAttrs a;
-  a.sources = AdSet::decode(r);
-  a.qos_mask = r.u8();
-  a.uci_mask = r.u8();
-  a.hour_mask = r.u32();
-  a.cost = r.u32();
-  return a;
+void RouteAttrs::decode_into(wire::Reader& r) {
+  sources.decode_into(r);
+  qos_mask = r.u8();
+  uci_mask = r.u8();
+  hour_mask = r.u32();
+  cost = r.u32();
 }
 
 void IdrpRoute::encode(wire::Writer& w) const {
@@ -88,16 +86,21 @@ void IdrpRoute::encode(wire::Writer& w) const {
 
 std::optional<IdrpRoute> IdrpRoute::decode(wire::Reader& r) {
   IdrpRoute route;
-  route.dst = AdId{r.u32()};
+  if (!route.decode_into(r)) return std::nullopt;
+  return route;
+}
+
+bool IdrpRoute::decode_into(wire::Reader& r) {
+  dst = AdId{r.u32()};
   const std::uint16_t len = r.u16();
   // Reserve no more than the buffer can hold: the length is wire input.
-  route.path.reserve(std::min<std::size_t>(len, r.remaining() / 4));
+  path.clear();
+  path.reserve(std::min<std::size_t>(len, r.remaining() / 4));
   for (std::uint16_t i = 0; i < len && r.ok(); ++i) {
-    route.path.push_back(AdId{r.u32()});
+    path.push_back(AdId{r.u32()});
   }
-  route.attrs = RouteAttrs::decode(r);
-  if (!r.ok()) return std::nullopt;
-  return route;
+  attrs.decode_into(r);
+  return r.ok();
 }
 
 namespace {
@@ -160,6 +163,63 @@ IdrpNode::Touched& IdrpNode::begin_touch() {
   return touched;
 }
 
+// One received update, decoded, plus the run diff's scratch. One per
+// thread, reused: routes past `size` keep their path capacity, so a warm
+// decode allocates nothing, and the table never grows past the largest
+// update this thread has decoded.
+struct IdrpNode::Received {
+  // A destination run: `len` consecutive routes for `dst` from `begin`.
+  struct Run {
+    std::uint32_t dst;
+    std::uint32_t begin;
+    std::uint32_t len;
+  };
+  std::vector<IdrpRoute> routes;  // [0, size) is the update
+  std::size_t size = 0;
+  IdrpRoute probe;  // defended decode: clamped copies go to `routes`
+  std::vector<Run> held_runs;
+  std::vector<Run> runs;  // of the update
+  // Per update run: the equal held run (same destination, same routes),
+  // or kNoRun.
+  std::vector<std::uint32_t> match;
+  // Destination -> held run index, or one of the markers below.
+  DenseMap<std::uint32_t, std::uint32_t> where;
+
+  static constexpr std::uint32_t kNoRun = 0xffffffffu;
+  // Markers in `where`: a held run already matched, a destination the
+  // held table lacks, a destination of the prefix both tables share.
+  static constexpr std::uint32_t kClaimed = 0xfffffffcu;
+  static constexpr std::uint32_t kAdded = 0xfffffffdu;
+  static constexpr std::uint32_t kInPrefix = 0xfffffffeu;
+
+  static void collect_runs(std::span<const IdrpRoute> table,
+                           std::vector<Run>& out) {
+    out.clear();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      if (out.empty() || out.back().dst != table[i].dst.v) {
+        out.push_back({table[i].dst.v, static_cast<std::uint32_t>(i), 0});
+      }
+      ++out.back().len;
+    }
+  }
+
+  [[nodiscard]] std::span<const IdrpRoute> table() const {
+    return {routes.data(), size};
+  }
+  // The slot the next kept route is decoded or copied into; keep it with
+  // ++size.
+  IdrpRoute& next() {
+    if (size == routes.size()) routes.emplace_back();
+    return routes[size];
+  }
+};
+
+IdrpNode::Received& IdrpNode::begin_receive() {
+  thread_local Received rx;
+  rx.size = 0;
+  return rx;
+}
+
 void IdrpNode::start() {
   if (config_.originate) {
     // Originate own reachability: an empty path means "this AD".
@@ -199,6 +259,40 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
   wire::Writer body;
   std::uint16_t count = 0;
   const auto own_terms = policies_->terms(self());
+  // Terminating traffic needs no transit PT.
+  const auto advertise_origin = [&] {
+    IdrpRoute adv;
+    adv.dst = self();
+    adv.path = {self()};
+    adv.encode(body);
+    ++count;
+  };
+  // Appends the false-origin claim, if any, and frames the update.
+  const auto finish = [&] {
+    if (mis == Misbehavior::kFalseOrigin) {
+      const AdId victim = net().misbehavior_victim(self());
+      if (victim.valid() && victim != self() && victim != neighbor) {
+        IdrpRoute adv;
+        adv.dst = victim;
+        adv.path = {self()};  // "the victim is me" -- shortest possible claim
+        adv.encode(body);
+        ++count;
+      }
+    }
+    w.u16(count);
+    w.raw(body.bytes());
+    return std::move(w).take();
+  };
+  if (own_terms.empty() && mis != Misbehavior::kRouteLeak &&
+      mis != Misbehavior::kTamper) {
+    // Without a Policy Term we re-advertise no transit route, so the walk
+    // below would emit our origin route (first in the loc-RIB, never
+    // damped or loop-suppressed) and nothing else.
+    if (config_.routes_per_dest > 0 && loc_rib_.contains(self().v)) {
+      advertise_origin();
+    }
+    return finish();
+  }
   for (const auto [dst_v, entry] : loc_rib_) {
     const AdId dst{dst_v};
     // A damped destination is simply left out: per-neighbor full-table
@@ -220,12 +314,7 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
         continue;
       }
       if (dst == self()) {
-        // Terminating traffic needs no transit PT.
-        IdrpRoute adv;
-        adv.dst = self();
-        adv.path = {self()};
-        adv.encode(body);
-        ++count;
+        advertise_origin();
         ++emitted_for_dst;
         continue;
       }
@@ -283,19 +372,7 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
       }
     }
   }
-  if (mis == Misbehavior::kFalseOrigin) {
-    const AdId victim = net().misbehavior_victim(self());
-    if (victim.valid() && victim != self() && victim != neighbor) {
-      IdrpRoute adv;
-      adv.dst = victim;
-      adv.path = {self()};  // "the victim is me" -- shortest possible claim
-      adv.encode(body);
-      ++count;
-    }
-  }
-  w.u16(count);
-  w.raw(body.bytes());
-  return std::move(w).take();
+  return finish();
 }
 
 namespace {
@@ -359,9 +436,10 @@ void IdrpNode::trigger_advertise() {
 }
 
 void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
-  // Parse the whole update before replacing the adj-RIB-in: a truncated
+  // Parse the whole update before touching the Adj-RIB-in: a truncated
   // PDU must not masquerade as a (shorter) full-state update and
-  // implicitly withdraw routes the sender still advertises.
+  // implicitly withdraw routes the sender still advertises. The update is
+  // decoded into scratch, so a half-decoded table never reaches it.
   wire::Reader r(bytes);
   const std::uint8_t type = r.u8();
   const std::uint16_t count = r.u16();
@@ -369,61 +447,158 @@ void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     drop_malformed();
     return;
   }
-  std::vector<IdrpRoute> received;
-  received.reserve(count);
-  bool decode_failed = false;
+  Received& rx = begin_receive();
   for (std::uint16_t i = 0; i < count; ++i) {
-    auto route = IdrpRoute::decode(r);
-    if (!route) {
-      decode_failed = true;
-      break;
+    IdrpRoute& route = config_.defend ? rx.probe : rx.next();
+    if (!route.decode_into(r)) {
+      drop_malformed();
+      return;
     }
     // Receiver-side validation: path must start at the sender, must not
     // contain us (AD loop), and must serve at least one flow.
-    if (route->path.empty() || route->path.front() != from) continue;
-    if (std::find(route->path.begin(), route->path.end(), self()) !=
-        route->path.end()) {
+    if (route.path.empty() || route.path.front() != from) continue;
+    if (std::find(route.path.begin(), route.path.end(), self()) !=
+        route.path.end()) {
       continue;
     }
-    if (route->dst == self()) continue;
-    if (!route->attrs.usable()) continue;
+    if (route.dst == self()) continue;
+    if (!route.attrs.usable()) continue;
     if (config_.defend) {
-      defend_and_keep(from, std::move(*route), received);
+      defend_and_keep(from, route, rx);
     } else {
-      received.push_back(std::move(*route));
+      ++rx.size;
     }
   }
-  if (decode_failed || !r.ok()) {
-    drop_malformed();
-    return;
-  }
-  // Diff against the Adj-RIB-in. Same destination at every position: patch
-  // the changed slots in place, so references to unchanged routes stay
-  // valid. Otherwise the table is replaced, every reference into it is
-  // void, and all its old and new destinations are reselected.
   Touched& touched = begin_touch();
-  std::vector<IdrpRoute>& held = adj_rib_in_[from.v].routes;
-  const bool same_dsts = std::equal(
-      held.begin(), held.end(), received.begin(), received.end(),
-      [](const IdrpRoute& a, const IdrpRoute& b) { return a.dst == b.dst; });
-  if (same_dsts) {
-    for (std::size_t i = 0; i < held.size(); ++i) {
-      if (held[i] == received[i]) continue;
-      held[i] = std::move(received[i]);
-      touched.add(held[i].dst.v);
-    }
-  } else {
-    touched.add_all(held);
-    touched.add_all(received);
-    touched.reorder = true;
-    held = std::move(received);
-  }
+  apply_update(from, rx, touched);
   stale_nbrs_.erase(from.v);  // a full-table update IS the GR resync
   reselect_and_maybe_advertise(touched);
 }
 
-void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
-                               std::vector<IdrpRoute>& kept) {
+// Pairs the update's runs with the held ones and touches every
+// destination whose run changed, appeared or disappeared. The two run
+// lists are walked in step while they name the same destinations; only
+// from the first divergence on are destinations hashed. False when a
+// destination occupies two runs of the update (the held table was checked
+// when it was stored), which the run-by-run diff cannot express.
+bool IdrpNode::match_runs(std::span<const IdrpRoute> held, Received& rx,
+                          Touched& t) {
+  using Run = Received::Run;
+  const std::span<const IdrpRoute> recv = rx.table();
+  const std::vector<Run>& was = rx.held_runs;
+  const std::vector<Run>& now = rx.runs;
+  const auto same = [&](const Run& a, const Run& b) {
+    return a.len == b.len &&
+           std::equal(held.begin() + a.begin, held.begin() + a.begin + a.len,
+                      recv.begin() + b.begin);
+  };
+  rx.match.assign(now.size(), Received::kNoRun);
+  std::size_t k = 0;
+  for (; k < was.size() && k < now.size() && was[k].dst == now[k].dst; ++k) {
+    if (same(was[k], now[k])) {
+      rx.match[k] = static_cast<std::uint32_t>(k);
+    } else {
+      t.add(now[k].dst);
+    }
+  }
+  const std::size_t aligned = k;
+  if (aligned == was.size() && aligned == now.size()) return true;
+  t.reorder = true;  // the destination sequence changed
+  rx.where.clear();
+  rx.where.reserve(was.size() + now.size());
+  for (std::size_t o = aligned; o < was.size(); ++o) {
+    rx.where.try_emplace(was[o].dst, static_cast<std::uint32_t>(o));
+  }
+  bool prefix_hashed = false;
+  for (; k < now.size(); ++k) {
+    const std::uint32_t dst = now[k].dst;
+    std::uint32_t* o = rx.where.find(dst);
+    if (!o && !prefix_hashed) {
+      // Not in the held suffix: new, or a second run of a destination
+      // in the prefix both tables share.
+      for (std::size_t p = 0; p < aligned; ++p) {
+        rx.where.try_emplace(was[p].dst, Received::kInPrefix);
+      }
+      prefix_hashed = true;
+      o = rx.where.find(dst);
+    }
+    if (!o) {
+      rx.where.try_emplace(dst, Received::kAdded);
+      t.add(dst);
+      continue;
+    }
+    if (*o >= Received::kClaimed) return false;  // a second run of dst
+    if (same(was[*o], now[k])) {
+      rx.match[k] = *o;
+    } else {
+      t.add(dst);
+    }
+    *o = Received::kClaimed;
+  }
+  for (std::size_t o = aligned; o < was.size(); ++o) {
+    if (*rx.where.find(was[o].dst) != Received::kClaimed) t.add(was[o].dst);
+  }
+  return true;
+}
+
+namespace {
+
+// Resizes a held table without resize()'s geometric growth: the Adj-RIBs-in
+// are most of an IDRP node's memory, so capacity follows the table size.
+void resize_table(std::vector<IdrpRoute>& table, std::size_t n) {
+  if (n > table.capacity()) table.reserve(n);
+  table.resize(n);
+}
+
+}  // namespace
+
+void IdrpNode::apply_update(AdId from, Received& rx, Touched& t) {
+  AdjRibIn& in = adj_rib_in_[from.v];
+  const auto nbr =
+      static_cast<std::uint32_t>(&in - adj_rib_in_.values().data());
+  std::vector<IdrpRoute>& held = in.routes;
+  const std::span<const IdrpRoute> recv = rx.table();
+  Received::collect_runs(held, rx.held_runs);
+  Received::collect_runs(recv, rx.runs);
+  if (in.split || !match_runs(held, rx, t)) {
+    // A destination in two runs: replace the table wholesale. Every
+    // reference into it is void; all its old and new destinations are
+    // reselected.
+    for (const Received::Run& run : rx.held_runs) t.add(run.dst);
+    for (const Received::Run& run : rx.runs) t.add(run.dst);
+    t.reorder = true;
+    resize_table(held, recv.size());
+    std::copy(recv.begin(), recv.end(), held.begin());
+    rx.where.clear();
+    in.split = false;
+    for (const Received::Run& run : rx.runs) {
+      in.split = in.split || !rx.where.try_emplace(run.dst, 0).second;
+    }
+    return;
+  }
+  // Copy-assign every run that is not already in place (a held route
+  // reuses its own capacity). An unchanged run that moved is not
+  // reselected: the loc-RIB references into it are rebased instead.
+  resize_table(held, recv.size());
+  for (std::size_t k = 0; k < rx.runs.size(); ++k) {
+    const Received::Run& run = rx.runs[k];
+    if (const std::uint32_t o = rx.match[k]; o != Received::kNoRun) {
+      const std::uint32_t old_begin = rx.held_runs[o].begin;
+      if (old_begin == run.begin) continue;
+      if (LocEntry* entry = loc_rib_.find(run.dst)) {
+        for (RouteRef& ref : entry->refs) {
+          if (ref.nbr == nbr) ref.idx = ref.idx - old_begin + run.begin;
+        }
+      }
+    }
+    std::copy(recv.begin() + run.begin, recv.begin() + run.begin + run.len,
+              held.begin() + run.begin);
+  }
+  in.split = false;
+}
+
+void IdrpNode::defend_and_keep(AdId from, const IdrpRoute& route,
+                               Received& rx) {
   // Neighbor-consistency rejection. The path must really end at the
   // claimed destination (a false-origin path=[liar] for someone else's
   // dst fails here) and every consecutive pair on it must be statically
@@ -439,7 +614,8 @@ void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
     }
   }
   if (route.path.size() == 1) {
-    kept.push_back(std::move(route));  // origin route: dst == from
+    rx.next() = route;  // origin route: dst == from
+    ++rx.size;
     return;
   }
   // Transit route: clamp to the sender's *registered* Policy Terms,
@@ -455,14 +631,19 @@ void IdrpNode::defend_and_keep(AdId from, IdrpRoute route,
     if (!t.prev_hops.contains(self())) continue;
     if (!t.next_hops.contains(next)) continue;
     if (!t.dests.contains(route.dst)) continue;
-    IdrpRoute clamped = route;
-    clamped.attrs.sources = intersect_sets(route.attrs.sources, t.sources);
-    clamped.attrs.qos_mask = route.attrs.qos_mask & t.qos_mask;
-    clamped.attrs.uci_mask = route.attrs.uci_mask & t.uci_mask;
-    clamped.attrs.hour_mask =
+    RouteAttrs attrs;
+    attrs.sources = intersect_sets(route.attrs.sources, t.sources);
+    attrs.qos_mask = route.attrs.qos_mask & t.qos_mask;
+    attrs.uci_mask = route.attrs.uci_mask & t.uci_mask;
+    attrs.hour_mask =
         route.attrs.hour_mask & hour_window_mask(t.hour_begin, t.hour_end);
-    if (!clamped.attrs.usable()) continue;
-    kept.push_back(std::move(clamped));
+    attrs.cost = route.attrs.cost;
+    if (!attrs.usable()) continue;
+    IdrpRoute& kept = rx.next();
+    kept.dst = route.dst;
+    kept.path = route.path;
+    kept.attrs = std::move(attrs);
+    ++rx.size;
     any = true;
   }
   if (!any) net().note_defense_rejection(self());
@@ -539,6 +720,8 @@ void IdrpNode::reselect_and_maybe_advertise(Touched& t) {
     t.add_all(in.routes);
     t.reorder = true;
   }
+
+  reselected_dsts_ += t.dsts.size();
 
   // Candidates for the touched destinations, in tie-break order: usable
   // neighbors in Adj-RIB-in order, each neighbor's routes in order.

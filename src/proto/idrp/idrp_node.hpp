@@ -15,13 +15,14 @@
 //  * Per-neighbor full-table updates with implicit withdrawal (a route
 //    absent from the latest update from a neighbor is gone).
 //
-// The decision process is incremental. An update is diffed against the
-// sender's Adj-RIB-in, which is patched in place; only the destinations
-// it touched are reselected. The loc-RIB holds references into the
-// Adj-RIBs-in, not copies, and the RIB signature is a running XOR of
-// per-destination signatures. The result is exactly what a full rebuild
-// from every Adj-RIB-in would select, in the same order (DESIGN.md,
-// "IDRP decision process").
+// The decision process is incremental. An update is decoded into
+// per-thread scratch and diffed against the sender's Adj-RIB-in one
+// destination run at a time; only the destinations whose routes changed,
+// appeared or disappeared are reselected. The loc-RIB holds references
+// into the Adj-RIBs-in, not copies, and the RIB signature is a running
+// XOR of per-destination signatures. The result is exactly what a full
+// rebuild from every Adj-RIB-in would select, in the same order
+// (DESIGN.md, "IDRP decision process").
 #pragma once
 
 #include <cstdint>
@@ -58,7 +59,7 @@ struct RouteAttrs {
   [[nodiscard]] bool usable() const noexcept;  // permits anything at all
 
   void encode(wire::Writer& w) const;
-  static RouteAttrs decode(wire::Reader& r);
+  void decode_into(wire::Reader& r);
 
   friend bool operator==(const RouteAttrs&, const RouteAttrs&) = default;
 };
@@ -70,6 +71,9 @@ struct IdrpRoute {
 
   void encode(wire::Writer& w) const;
   static std::optional<IdrpRoute> decode(wire::Reader& r);
+  // Decodes into this route, reusing its path and source-set capacity;
+  // false on a short read (the route is then garbage).
+  bool decode_into(wire::Reader& r);
 
   friend bool operator==(const IdrpRoute&, const IdrpRoute&) = default;
 };
@@ -204,6 +208,11 @@ class IdrpNode : public ProtoNode {
   [[nodiscard]] std::uint64_t gr_resyncs() const noexcept {
     return gr_resyncs_;
   }
+  // Work counter: destinations reselected over the node's lifetime (a
+  // destination counts once per reselection that touches it).
+  [[nodiscard]] std::uint64_t reselected_dsts() const noexcept {
+    return reselected_dsts_;
+  }
 
   static constexpr std::uint8_t kMsgUpdate = 1;
 
@@ -213,11 +222,14 @@ class IdrpNode : public ProtoNode {
   }
 
  private:
-  // One neighbor's Adj-RIB-in: its routes as received, and whether they
-  // were usable (link up) at the last reselection.
+  // One neighbor's Adj-RIB-in: its routes as received, whether they were
+  // usable (link up) at the last reselection, and whether some destination
+  // occupies two separate runs of the table (only a false-origin claim
+  // produces that; such a table is never diffed run by run).
   struct AdjRibIn {
     std::vector<IdrpRoute> routes;
     bool usable = false;
+    bool split = false;
   };
   // One loc-RIB destination: its selected routes and their signature.
   struct LocEntry {
@@ -225,9 +237,12 @@ class IdrpNode : public ProtoNode {
     std::uint64_t sig = 0;
   };
   struct Touched;
+  struct Received;
   // The calling thread's touched set, emptied (sharded runs execute nodes
   // on worker threads, so the scratch is per thread, never shared).
   static Touched& begin_touch();
+  // The calling thread's decode scratch, emptied (same threading rule).
+  static Received& begin_receive();
 
   [[nodiscard]] const IdrpRoute& resolve(RouteRef ref) const {
     return ref.nbr == RouteRef::kOrigin
@@ -238,6 +253,11 @@ class IdrpNode : public ProtoNode {
   // neighbor whose usability flipped), then advertises if the RIB
   // signature changed.
   void reselect_and_maybe_advertise(Touched& touched);
+  // Brings `from`'s Adj-RIB-in to the received table, touching only the
+  // destinations whose run changed, appeared or disappeared.
+  void apply_update(AdId from, Received& rx, Touched& touched);
+  static bool match_runs(std::span<const IdrpRoute> held, Received& rx,
+                         Touched& touched);
   void erase_neighbor(AdId neighbor, Touched& touched);
   void reorder_loc_rib();
   void advertise(MsgClass cls = MsgClass::kUpdate);
@@ -247,11 +267,12 @@ class IdrpNode : public ProtoNode {
   void maybe_schedule_release_check();
   // Defense filter for one received route (config_.defend only): checks
   // neighbor consistency and clamps to the sender's registered terms,
-  // appending the surviving copies to `kept`.
-  void defend_and_keep(AdId from, IdrpRoute route,
-                       std::vector<IdrpRoute>& kept);
+  // appending the surviving copies to `rx`.
+  void defend_and_keep(AdId from, const IdrpRoute& route, Received& rx);
   // The full-table update for `neighbor`. Damping suppression is only
-  // queried here; releases happen solely in the release timer.
+  // queried here; releases happen solely in the release timer. An honest
+  // AD without Policy Terms can re-advertise no transit route, so its
+  // update is its origin route alone and the loc-RIB is not walked.
   [[nodiscard]] std::vector<std::uint8_t> encode_for(AdId neighbor) const;
   [[nodiscard]] std::uint64_t rib_signature() const;
 
@@ -261,6 +282,7 @@ class IdrpNode : public ProtoNode {
   double periodic_refresh_ms_ = 0.0;
   std::uint64_t gr_stale_flushed_ = 0;
   std::uint64_t gr_resyncs_ = 0;
+  std::uint64_t reselected_dsts_ = 0;
   // Neighbors whose Adj-RIB-in is graceful-restart stale (retained while
   // the neighbor restarts; awaiting a resync update or the flush timer).
   std::unordered_set<std::uint32_t> stale_nbrs_;

@@ -299,6 +299,9 @@ constexpr SimTime kGraceMs = 200.0;
 // Long enough for any damping penalty to decay below the reuse threshold.
 constexpr SimTime kQuietMs = 60'000.0;
 
+// The subject links to its neighbors only; every other pair of ADs is
+// linked, so any path over ADs 1..11 passes the defended receiver's
+// adjacency check.
 Topology history_topology() {
   Topology topo;
   for (std::uint32_t i = 0; i < kAds; ++i) {
@@ -307,6 +310,11 @@ Topology history_topology() {
   }
   for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
     topo.add_link(kSubject, AdId{n}, LinkClass::kHierarchical);
+  }
+  for (std::uint32_t a = 1; a < kAds; ++a) {
+    for (std::uint32_t b = a + 1; b < kAds; ++b) {
+      topo.add_link(AdId{a}, AdId{b}, LinkClass::kHierarchical);
+    }
   }
   return topo;
 }
@@ -321,13 +329,16 @@ LinkId link_to(const Topology& topo, std::uint32_t n) {
 using Tables = DenseMap<std::uint32_t, std::vector<IdrpRoute>>;
 
 // The subject node under test with recorder neighbors, GR and the crash
-// oracle on.
+// oracle on; `defend` turns on the receiver-side Byzantine defense (open
+// policies clamp nothing, so it keeps every valid route unchanged).
 struct HistoryRig {
-  HistoryRig(Topology topology, const PolicySet& policies, bool damping)
-      : topo(std::move(topology)), net(engine, topo) {
+  HistoryRig(Topology topology, const PolicySet& policies, bool damping,
+             bool defend = false)
+      : topo(std::move(topology)), net(engine, topo), defend(defend) {
     IdrpConfig config;
     config.routes_per_dest = 2;  // the cap and the tie-break both matter
     config.damping.enabled = damping;
+    config.defend = defend;
     config.gr.enabled = true;
     config.gr.grace_ms = kGraceMs;
     net.set_graceful_restart(GrConfig{true, kGraceMs});
@@ -347,11 +358,16 @@ struct HistoryRig {
   }
 
   void feed(AdId from, const std::vector<IdrpRoute>& table) {
+    subject->on_message(from, encode_update(table));
+  }
+
+  static std::vector<std::uint8_t> encode_update(
+      const std::vector<IdrpRoute>& table) {
     wire::Writer w;
     w.u8(IdrpNode::kMsgUpdate);
     w.u16(static_cast<std::uint16_t>(table.size()));
     for (const IdrpRoute& route : table) route.encode(w);
-    subject->on_message(from, w.bytes());
+    return std::move(w).take();
   }
 
   void advance(SimTime ms) { engine.run_until(engine.now() + ms); }
@@ -370,14 +386,60 @@ struct HistoryRig {
   Topology topo;  // per rig: link state is part of the history
   Engine engine;
   Network net;
+  bool defend;
   IdrpNode* subject = nullptr;
   std::vector<RecorderNode*> recorders;  // AD i at index i - 1
 };
 
+// Random route from `from` to `dst`, with a short path and few costs so
+// equal-length, equal-cost ties across neighbors are common. A `valid`
+// path ends at `dst` and has no AD twice in a row, so the defended
+// receiver keeps it (the history topology links every such pair); the
+// random draws are the same either way.
+IdrpRoute random_route(Prng& rng, AdId from, AdId dst, bool valid) {
+  IdrpRoute route;
+  route.dst = dst;
+  route.path.push_back(from);
+  const std::uint64_t mids = rng.below(3);
+  for (std::uint64_t m = 0; m < mids; ++m) {
+    const AdId mid{
+        static_cast<std::uint32_t>(rng.uniform(kNeighbors + 1, kAds - 1))};
+    if (!valid || (mid != dst && mid != route.path.back())) {
+      route.path.push_back(mid);
+    }
+  }
+  if (dst != from) {
+    route.path.push_back(dst);
+  } else if (valid) {
+    route.path.resize(1);  // an origin route: the path is the sender
+  }
+  route.attrs.cost = static_cast<std::uint32_t>(rng.below(2));
+  if (rng.bernoulli(0.3)) {
+    route.attrs.sources =
+        AdSet::of({AdId{static_cast<std::uint32_t>(rng.below(kAds))},
+                   AdId{static_cast<std::uint32_t>(rng.below(kAds))}});
+  }
+  if (rng.bernoulli(0.3)) {
+    route.attrs.qos_mask = static_cast<std::uint8_t>(rng.uniform(1, 3));
+  }
+  return route;
+}
+
+// A run of 1-3 random routes to `dst`.
+std::vector<IdrpRoute> random_run(Prng& rng, AdId from, AdId dst,
+                                  bool valid) {
+  std::vector<IdrpRoute> run;
+  const std::uint64_t copies = rng.uniform(1, 3);
+  for (std::uint64_t c = 0; c < copies; ++c) {
+    run.push_back(random_route(rng, from, dst, valid));
+  }
+  return run;
+}
+
 // Random table from `from`: random destination subset in random order,
-// 1-3 routes each, with short path lengths and few costs so equal-length,
-// equal-cost ties across neighbors are common.
-std::vector<IdrpRoute> random_table(Prng& rng, AdId from) {
+// one run each.
+std::vector<IdrpRoute> random_table(Prng& rng, AdId from,
+                                    bool valid = false) {
   std::vector<AdId> dsts;
   for (std::uint32_t d = 1; d < kAds; ++d) {
     if (rng.bernoulli(0.6)) dsts.push_back(AdId{d});
@@ -385,30 +447,37 @@ std::vector<IdrpRoute> random_table(Prng& rng, AdId from) {
   std::shuffle(dsts.begin(), dsts.end(), rng);
   std::vector<IdrpRoute> table;
   for (AdId dst : dsts) {
-    const std::uint64_t copies = rng.uniform(1, 3);
-    for (std::uint64_t c = 0; c < copies; ++c) {
-      IdrpRoute route;
-      route.dst = dst;
-      route.path.push_back(from);
-      const std::uint64_t mids = rng.below(3);
-      for (std::uint64_t m = 0; m < mids; ++m) {
-        route.path.push_back(AdId{static_cast<std::uint32_t>(
-            rng.uniform(kNeighbors + 1, kAds - 1))});
-      }
-      if (dst != from) route.path.push_back(dst);
-      route.attrs.cost = static_cast<std::uint32_t>(rng.below(2));
-      if (rng.bernoulli(0.3)) {
-        route.attrs.sources = AdSet::of(
-            {AdId{static_cast<std::uint32_t>(rng.below(kAds))},
-             AdId{static_cast<std::uint32_t>(rng.below(kAds))}});
-      }
-      if (rng.bernoulli(0.3)) {
-        route.attrs.qos_mask = static_cast<std::uint8_t>(rng.uniform(1, 3));
-      }
+    for (IdrpRoute& route : random_run(rng, from, dst, valid)) {
       table.push_back(std::move(route));
     }
   }
   return table;
+}
+
+// [begin, end) of each destination run of `table`, in table order.
+std::vector<std::pair<std::size_t, std::size_t>> runs_of(
+    const std::vector<IdrpRoute>& table) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (runs.empty() || table[runs.back().first].dst != table[i].dst) {
+      runs.emplace_back(i, i);
+    }
+    runs.back().second = i + 1;
+  }
+  return runs;
+}
+
+// `table` with its destination runs `i` and `j` exchanged.
+std::vector<IdrpRoute> swap_runs(const std::vector<IdrpRoute>& table,
+                                 std::size_t i, std::size_t j) {
+  auto runs = runs_of(table);
+  std::swap(runs[i], runs[j]);
+  std::vector<IdrpRoute> out;
+  for (const auto& [begin, end] : runs) {
+    out.insert(out.end(), table.begin() + static_cast<std::ptrdiff_t>(begin),
+               table.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return out;
 }
 
 std::vector<IdrpRoute> selected(const IdrpNode& node, AdId dst) {
@@ -484,7 +553,7 @@ void expect_same_decision(HistoryRig& churned, const Tables& tables,
                           const PolicySet& policies, bool damping,
                           AdId crashed) {
   const ReferenceDecision ref = reference_decision(churned, tables);
-  HistoryRig fresh(churned.topo, policies, damping);
+  HistoryRig fresh(churned.topo, policies, damping, churned.defend);
   for (const auto [n, table] : tables) fresh.feed(AdId{n}, table);
   if (damping) fresh.advance(kQuietMs);
   EXPECT_EQ(churned.subject->adj_rib_routes(),
@@ -514,11 +583,11 @@ void expect_same_decision(HistoryRig& churned, const Tables& tables,
   }
 }
 
-void run_history(std::uint64_t seed, bool damping) {
+void run_history(std::uint64_t seed, bool damping, bool defend = false) {
   const Topology topo = history_topology();
   const PolicySet policies = make_open_policies(topo);
   Prng rng(seed);
-  HistoryRig churned(topo, policies, damping);
+  HistoryRig churned(topo, policies, damping, defend);
   Tables tables;
   AdId crashed = kNoAd;
   SimTime flush_at = -1.0;
@@ -527,10 +596,12 @@ void run_history(std::uint64_t seed, bool damping) {
     const AdId nbr{n};
     const bool alive = nbr != crashed;
     const bool up = churned.link_up(n);
-    const std::uint64_t op = rng.below(10);
+    const std::uint64_t op = rng.below(14);
+    const bool has_table =
+        alive && up && tables.contains(n) && !tables.find(n)->empty();
     if (op <= 3 && alive && up) {
       // A new table: grows, shrinks and reorders destinations.
-      std::vector<IdrpRoute> table = random_table(rng, nbr);
+      std::vector<IdrpRoute> table = random_table(rng, nbr, defend);
       churned.feed(nbr, table);
       tables[n] = std::move(table);
     } else if (op <= 5 && alive && up && tables.contains(n) &&
@@ -541,9 +612,11 @@ void run_history(std::uint64_t seed, bool damping) {
       if (rng.bernoulli(0.5)) {
         route.attrs.cost ^= 1u;
       } else if (route.path.size() > 1) {
-        route.path.insert(route.path.begin() + 1,
-                          AdId{static_cast<std::uint32_t>(
-                              rng.uniform(kNeighbors + 1, kAds - 1))});
+        const AdId mid{static_cast<std::uint32_t>(
+            rng.uniform(kNeighbors + 1, kAds - 1))};
+        if (mid != route.path[1]) {
+          route.path.insert(route.path.begin() + 1, mid);
+        }
       }
       churned.feed(nbr, table);
       tables[n] = std::move(table);
@@ -564,6 +637,49 @@ void run_history(std::uint64_t seed, bool damping) {
       flush_at = churned.engine.now() + kGraceMs + 0.1;
     } else if (op == 8 && alive && up && tables.contains(n)) {
       churned.feed(nbr, *tables.find(n));  // identical re-send
+    } else if (op >= 9 && op <= 12 && has_table) {
+      // One destination's run edited, the rest of the table as it was:
+      // later runs shift, but only the edited destinations change.
+      std::vector<IdrpRoute> table = *tables.find(n);
+      const auto runs = runs_of(table);
+      const std::size_t r = rng.below(runs.size());
+      const auto [begin, end] = runs[r];
+      const auto at = [&](std::size_t i) {
+        return table.begin() + static_cast<std::ptrdiff_t>(i);
+      };
+      if (op == 9) {
+        // Grow or shrink the run in place.
+        if (end - begin > 1 && rng.bernoulli(0.5)) {
+          table.erase(at(begin + rng.below(end - begin)));
+        } else {
+          table.insert(at(begin + rng.below(end - begin + 1)),
+                       random_route(rng, nbr, table[begin].dst, defend));
+        }
+      } else if (op == 10 && runs.size() > 1) {
+        // Swap two destinations' runs.
+        const std::size_t other = (r + 1 + rng.below(runs.size() - 1)) %
+                                  runs.size();
+        table = swap_runs(table, r, other);
+      } else if (op == 11) {
+        table.erase(at(begin), at(end));  // drop one destination
+      } else if (op == 12) {
+        // Add one destination, at a run boundary.
+        std::vector<AdId> absent;
+        for (std::uint32_t d = 1; d < kAds; ++d) {
+          if (std::none_of(table.begin(), table.end(),
+                           [&](const IdrpRoute& x) { return x.dst.v == d; })) {
+            absent.push_back(AdId{d});
+          }
+        }
+        if (!absent.empty()) {
+          const std::vector<IdrpRoute> run =
+              random_run(rng, nbr, absent[rng.below(absent.size())], defend);
+          table.insert(at(rng.bernoulli(0.5) ? begin : end), run.begin(),
+                       run.end());
+        }
+      }
+      churned.feed(nbr, table);
+      tables[n] = std::move(table);
     }
     churned.advance(static_cast<SimTime>(rng.below(40)));
     if (flush_at >= 0.0 && churned.engine.now() >= flush_at) {
@@ -571,8 +687,18 @@ void run_history(std::uint64_t seed, bool damping) {
       flush_at = -1.0;
     }
     if (step % 30 == 0 && !damping) {
-      // Checkpoint, links as they are: an identical re-send makes the
-      // subject reselect under the current link states first.
+      // Checkpoint, links as they are. The check advances the subject's
+      // clock (50 ms per neighbor update it asks for), so a GR flush due
+      // within that span is settled first: the subject must not drop a
+      // table the reference still holds halfway through the comparison.
+      if (flush_at >= 0.0 &&
+          flush_at < churned.engine.now() + 50.0 * kNeighbors) {
+        churned.advance(flush_at - churned.engine.now());
+        tables.erase(crashed.v);
+        flush_at = -1.0;
+      }
+      // An identical re-send makes the subject reselect under the current
+      // link states first.
       for (const auto [m, table] : tables) {
         if (AdId{m} == crashed) continue;
         churned.feed(AdId{m}, table);
@@ -607,6 +733,146 @@ TEST(IdrpIncremental, DecisionIsIndependentOfHistoryWithDamping) {
     SCOPED_TRACE(seed);
     run_history(seed, /*damping=*/true);
   }
+}
+
+// The defended receiver decodes through the same scratch, then keeps
+// clamped copies; the decision must still be history independent.
+TEST(IdrpIncremental, DecisionIsIndependentOfHistoryDefended) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    run_history(seed, /*damping=*/false, /*defend=*/true);
+  }
+}
+
+// Everything a neighbor or a forwarding decision can observe of the
+// subject's RIBs.
+struct Observed {
+  std::size_t adj_rib_routes = 0;
+  std::vector<std::vector<IdrpRoute>> routes;        // by dst id
+  std::vector<std::vector<std::uint8_t>> updates;    // to AD n at n - 1
+  friend bool operator==(const Observed&, const Observed&) = default;
+};
+
+Observed observe(HistoryRig& rig) {
+  Observed o;
+  o.adj_rib_routes = rig.subject->adj_rib_routes();
+  for (std::uint32_t d = 0; d < kAds; ++d) {
+    o.routes.push_back(selected(*rig.subject, AdId{d}));
+  }
+  for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
+    o.updates.push_back(rig.next_update(AdId{n}));
+  }
+  return o;
+}
+
+// A malformed update is dropped whole: the scratch it was decoded into
+// never reaches the Adj-RIB-in, whether the bad bytes come at the end or
+// in the middle, and whether the decoded prefix matches the held table
+// or not.
+TEST(IdrpIncremental, MalformedUpdateLeavesStateUntouched) {
+  const Topology topo = history_topology();
+  const PolicySet policies = make_open_policies(topo);
+  for (const bool defend : {false, true}) {
+    SCOPED_TRACE(defend);
+    Prng rng(7);
+    HistoryRig rig(topo, policies, /*damping=*/false, defend);
+    for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
+      rig.feed(AdId{n}, random_table(rng, AdId{n}, /*valid=*/true));
+    }
+    const AdId from{1};
+    std::vector<IdrpRoute> valid;
+    while (valid.size() < 4) valid = random_table(rng, from, true);
+    std::vector<IdrpRoute> other;
+    while (other.size() < 4) other = random_table(rng, from, true);
+    rig.feed(from, valid);
+    rig.advance(50.0);
+    const Observed before = observe(rig);
+
+    // The update with its tail cut off.
+    const auto truncated = [](const std::vector<IdrpRoute>& table) {
+      std::vector<std::uint8_t> bytes = HistoryRig::encode_update(table);
+      bytes.resize(bytes.size() - 3);
+      return bytes;
+    };
+    // The update with the middle route's path length claiming more ADs
+    // than the rest of the buffer holds.
+    const auto undecodable = [](const std::vector<IdrpRoute>& table) {
+      wire::Writer w;
+      w.u8(IdrpNode::kMsgUpdate);
+      w.u16(static_cast<std::uint16_t>(table.size()));
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        if (i == table.size() / 2) {
+          w.u32(table[i].dst.v);
+          w.u16(0xffff);
+          continue;
+        }
+        table[i].encode(w);
+      }
+      return std::move(w).take();
+    };
+    const std::vector<std::vector<std::uint8_t>> malformed = {
+        truncated(valid), undecodable(valid), truncated(other),
+        undecodable(other)};
+    for (std::size_t m = 0; m < malformed.size(); ++m) {
+      SCOPED_TRACE(m);
+      const std::uint64_t dropped =
+          rig.net.counters(kSubject).malformed_dropped;
+      const std::uint64_t reselected = rig.subject->reselected_dsts();
+      rig.subject->on_message(from, malformed[m]);
+      rig.advance(50.0);
+      EXPECT_EQ(rig.net.counters(kSubject).malformed_dropped, dropped + 1);
+      EXPECT_EQ(rig.subject->reselected_dsts(), reselected);
+      EXPECT_EQ(observe(rig), before);
+    }
+    // The scratch holds the last malformed prefix; a valid update after it
+    // still diffs against the held table.
+    const std::uint64_t reselected = rig.subject->reselected_dsts();
+    rig.feed(from, valid);
+    EXPECT_EQ(rig.subject->reselected_dsts(), reselected);
+    EXPECT_EQ(observe(rig), before);
+  }
+}
+
+// Only the destinations an update changes are reselected, whatever it
+// does to the positions of the others.
+TEST(IdrpIncremental, ReselectsOnlyChangedDestinations) {
+  const Topology topo = history_topology();
+  const PolicySet policies = make_open_policies(topo);
+  Prng rng(3);
+  HistoryRig rig(topo, policies, /*damping=*/false);
+  Tables tables;
+  for (std::uint32_t n = 2; n <= kNeighbors; ++n) {
+    tables[n] = random_table(rng, AdId{n});
+    rig.feed(AdId{n}, *tables.find(n));
+  }
+  const AdId from{1};
+  std::vector<IdrpRoute> table;
+  for (std::uint32_t d = 6; d < kAds; ++d) {
+    table.push_back(random_route(rng, from, AdId{d}, /*valid=*/true));
+  }
+  tables[from.v] = table;
+  rig.feed(from, table);
+  const auto expect_reselected = [&](const std::vector<IdrpRoute>& next,
+                                     std::uint64_t expected) {
+    const std::uint64_t before = rig.subject->reselected_dsts();
+    rig.feed(from, next);
+    tables[from.v] = next;
+    EXPECT_EQ(rig.subject->reselected_dsts() - before, expected);
+    expect_same_decision(rig, tables, policies, /*damping=*/false, kNoAd);
+  };
+  // A second route for the second destination: every later run moves.
+  // This used to replace the whole table and reselect all of it.
+  table.insert(table.begin() + 2,
+               random_route(rng, from, table[1].dst, /*valid=*/true));
+  expect_reselected(table, 1);
+  // The same routes in another destination order: nothing to reselect.
+  table = swap_runs(table, 0, runs_of(table).size() - 1);
+  expect_reselected(table, 0);
+  table.erase(table.begin());  // one destination fewer
+  expect_reselected(table, 1);
+  table.push_back(random_route(rng, from, AdId{2}, true));  // one more
+  expect_reselected(table, 1);
+  expect_reselected(table, 0);  // an identical re-send
 }
 
 // Every change to the selected routes reaches the neighbors: after each

@@ -1,6 +1,7 @@
 #include "proto/idrp/idrp_node.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -129,37 +130,35 @@ std::uint64_t mix(std::uint64_t sig) noexcept { return splitmix64(sig); }
 
 constexpr std::uint64_t kRibSignatureSeed = 0x9e3779b97f4a7c15ULL;
 
+// Binary-search predicates: a loc-RIB entry resp. a route before `dst`.
+constexpr auto by_dst = [](const auto& entry, std::uint32_t dst) {
+  return entry.dst < dst;
+};
+constexpr auto route_by_dst = [](const IdrpRoute& route, std::uint32_t dst) {
+  return route.dst.v < dst;
+};
+
 }  // namespace
 
 // Destinations an event touched, plus the reselection's scratch. One per
 // thread, reused: a reselection allocates nothing once it is warm.
 struct IdrpNode::Touched {
-  DenseMap<std::uint32_t, std::uint32_t> slot;  // dst -> position in dsts
-  std::vector<std::uint32_t> dsts;              // first-touch order
-  bool reorder = false;  // the loc-RIB encode order must be recomputed
+  std::vector<std::uint32_t> dsts;  // sorted and deduplicated on reselection
   std::vector<std::vector<RouteRef>> cands;  // per touched dst
   std::vector<RouteRef> kept;
-  // Damping flaps: (loc-RIB position, dst) of changed resp. withdrawn
-  // destinations, noted in the order a full rebuild would note them.
-  std::vector<std::pair<std::size_t, std::uint32_t>> changed;
-  std::vector<std::pair<std::size_t, std::uint32_t>> gone;
+  std::vector<LocEntry> added;  // entries of destinations that appeared
 
-  void add(std::uint32_t dst) {
-    if (slot.try_emplace(dst, static_cast<std::uint32_t>(dsts.size()))
-            .second) {
-      dsts.push_back(dst);
-    }
-  }
+  void add(std::uint32_t dst) { dsts.push_back(dst); }
   void add_all(const std::vector<IdrpRoute>& routes) {
-    for (const IdrpRoute& route : routes) add(route.dst.v);
+    for (const IdrpRoute& route : routes) {
+      if (dsts.empty() || dsts.back() != route.dst.v) add(route.dst.v);
+    }
   }
 };
 
 IdrpNode::Touched& IdrpNode::begin_touch() {
   thread_local Touched touched;
-  touched.slot.clear();
   touched.dsts.clear();
-  touched.reorder = false;
   return touched;
 }
 
@@ -179,18 +178,11 @@ struct IdrpNode::Received {
   IdrpRoute probe;  // defended decode: clamped copies go to `routes`
   std::vector<Run> held_runs;
   std::vector<Run> runs;  // of the update
-  // Per update run: the equal held run (same destination, same routes),
-  // or kNoRun.
+  // Per update run: the begin of the equal held run (same destination,
+  // same routes), or kNoRun.
   std::vector<std::uint32_t> match;
-  // Destination -> held run index, or one of the markers below.
-  DenseMap<std::uint32_t, std::uint32_t> where;
 
   static constexpr std::uint32_t kNoRun = 0xffffffffu;
-  // Markers in `where`: a held run already matched, a destination the
-  // held table lacks, a destination of the prefix both tables share.
-  static constexpr std::uint32_t kClaimed = 0xfffffffcu;
-  static constexpr std::uint32_t kAdded = 0xfffffffdu;
-  static constexpr std::uint32_t kInPrefix = 0xfffffffeu;
 
   static void collect_runs(std::span<const IdrpRoute> table,
                            std::vector<Run>& out) {
@@ -224,10 +216,12 @@ void IdrpNode::start() {
   if (config_.originate) {
     // Originate own reachability: an empty path means "this AD".
     origin_.dst = self();
-    LocEntry& own = loc_rib_[self().v];
-    own.refs = {RouteRef{RouteRef::kOrigin, 0}};
+    LocEntry own{self().v, {RouteRef{RouteRef::kOrigin, 0}}};
     own.sig = dst_routes_signature(self().v, RouteView(this, own.refs));
     loc_rib_xor_ ^= mix(own.sig);
+    loc_rib_.insert(std::lower_bound(loc_rib_.begin(), loc_rib_.end(),
+                                     self().v, by_dst),
+                    std::move(own));
     advertise();
   }
   schedule_refresh();
@@ -251,7 +245,7 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
   //   * tamper     -- the path is shortened to a claimed direct
   //     adjacency with the destination (path-vector length fraud);
   //   * false origin -- a path=[self] origin claim for the victim is
-  //     appended after the honest routes.
+  //     placed among the honest routes in ascending order.
   const Misbehavior mis = net().active_misbehavior(self());
   const SimTime now = net().engine().now();
   wire::Writer w;
@@ -267,18 +261,28 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
     adv.encode(body);
     ++count;
   };
-  // Appends the false-origin claim, if any, and frames the update.
-  const auto finish = [&] {
-    if (mis == Misbehavior::kFalseOrigin) {
-      const AdId victim = net().misbehavior_victim(self());
-      if (victim.valid() && victim != self() && victim != neighbor) {
-        IdrpRoute adv;
-        adv.dst = victim;
-        adv.path = {self()};  // "the victim is me" -- shortest possible claim
-        adv.encode(body);
-        ++count;
-      }
+  AdId claim = kNoAd;
+  if (mis == Misbehavior::kFalseOrigin) {
+    const AdId victim = net().misbehavior_victim(self());
+    if (victim.valid() && victim != self() && victim != neighbor) {
+      claim = victim;
     }
+  }
+  // Emits the false-origin claim, if any, once the destinations about to
+  // follow are all above the victim: the update stays ascending.
+  const auto claim_before = [&](AdId next_dst) {
+    if (!claim.valid() || (next_dst.valid() && next_dst.v <= claim.v)) {
+      return;
+    }
+    IdrpRoute adv;
+    adv.dst = claim;
+    adv.path = {self()};  // "the victim is me" -- shortest possible claim
+    adv.encode(body);
+    ++count;
+    claim = kNoAd;
+  };
+  const auto finish = [&] {
+    claim_before(kNoAd);
     w.u16(count);
     w.raw(body.bytes());
     return std::move(w).take();
@@ -286,15 +290,18 @@ std::vector<std::uint8_t> IdrpNode::encode_for(AdId neighbor) const {
   if (own_terms.empty() && mis != Misbehavior::kRouteLeak &&
       mis != Misbehavior::kTamper) {
     // Without a Policy Term we re-advertise no transit route, so the walk
-    // below would emit our origin route (first in the loc-RIB, never
-    // damped or loop-suppressed) and nothing else.
-    if (config_.routes_per_dest > 0 && loc_rib_.contains(self().v)) {
+    // below would emit our origin route (never damped or loop-suppressed)
+    // and nothing else.
+    if (config_.routes_per_dest > 0 && find_loc(self().v)) {
+      claim_before(self());
       advertise_origin();
     }
     return finish();
   }
-  for (const auto [dst_v, entry] : loc_rib_) {
+  for (const LocEntry& entry : loc_rib_) {
+    const std::uint32_t dst_v = entry.dst;
     const AdId dst{dst_v};
+    claim_before(dst);
     // A damped destination is simply left out: per-neighbor full-table
     // updates make omission an implicit withdrawal, so downstream churn
     // stops after one stable update while we keep forwarding locally.
@@ -448,12 +455,15 @@ void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
     return;
   }
   Received& rx = begin_receive();
+  std::uint32_t last_dst = 0;
   for (std::uint16_t i = 0; i < count; ++i) {
     IdrpRoute& route = config_.defend ? rx.probe : rx.next();
-    if (!route.decode_into(r)) {
+    // Destinations ascend; a table that descends is malformed.
+    if (!route.decode_into(r) || route.dst.v < last_dst) {
       drop_malformed();
       return;
     }
+    last_dst = route.dst.v;
     // Receiver-side validation: path must start at the sender, must not
     // contain us (AD loop), and must serve at least one flow.
     if (route.path.empty() || route.path.front() != from) continue;
@@ -475,70 +485,34 @@ void IdrpNode::on_message(AdId from, std::span<const std::uint8_t> bytes) {
   reselect_and_maybe_advertise(touched);
 }
 
-// Pairs the update's runs with the held ones and touches every
-// destination whose run changed, appeared or disappeared. The two run
-// lists are walked in step while they name the same destinations; only
-// from the first divergence on are destinations hashed. False when a
-// destination occupies two runs of the update (the held table was checked
-// when it was stored), which the run-by-run diff cannot express.
-bool IdrpNode::match_runs(std::span<const IdrpRoute> held, Received& rx,
+// Merges the update's runs with the held ones (both ascend by
+// destination) and touches every destination whose run changed, appeared
+// or disappeared.
+void IdrpNode::match_runs(std::span<const IdrpRoute> held, Received& rx,
                           Touched& t) {
   using Run = Received::Run;
   const std::span<const IdrpRoute> recv = rx.table();
   const std::vector<Run>& was = rx.held_runs;
   const std::vector<Run>& now = rx.runs;
-  const auto same = [&](const Run& a, const Run& b) {
-    return a.len == b.len &&
-           std::equal(held.begin() + a.begin, held.begin() + a.begin + a.len,
-                      recv.begin() + b.begin);
-  };
   rx.match.assign(now.size(), Received::kNoRun);
-  std::size_t k = 0;
-  for (; k < was.size() && k < now.size() && was[k].dst == now[k].dst; ++k) {
-    if (same(was[k], now[k])) {
-      rx.match[k] = static_cast<std::uint32_t>(k);
-    } else {
+  std::size_t o = 0;
+  for (std::size_t k = 0; k < now.size(); ++k) {
+    for (; o < was.size() && was[o].dst < now[k].dst; ++o) t.add(was[o].dst);
+    if (o == was.size() || was[o].dst != now[k].dst) {
       t.add(now[k].dst);
-    }
-  }
-  const std::size_t aligned = k;
-  if (aligned == was.size() && aligned == now.size()) return true;
-  t.reorder = true;  // the destination sequence changed
-  rx.where.clear();
-  rx.where.reserve(was.size() + now.size());
-  for (std::size_t o = aligned; o < was.size(); ++o) {
-    rx.where.try_emplace(was[o].dst, static_cast<std::uint32_t>(o));
-  }
-  bool prefix_hashed = false;
-  for (; k < now.size(); ++k) {
-    const std::uint32_t dst = now[k].dst;
-    std::uint32_t* o = rx.where.find(dst);
-    if (!o && !prefix_hashed) {
-      // Not in the held suffix: new, or a second run of a destination
-      // in the prefix both tables share.
-      for (std::size_t p = 0; p < aligned; ++p) {
-        rx.where.try_emplace(was[p].dst, Received::kInPrefix);
-      }
-      prefix_hashed = true;
-      o = rx.where.find(dst);
-    }
-    if (!o) {
-      rx.where.try_emplace(dst, Received::kAdded);
-      t.add(dst);
       continue;
     }
-    if (*o >= Received::kClaimed) return false;  // a second run of dst
-    if (same(was[*o], now[k])) {
-      rx.match[k] = *o;
+    const Run& a = was[o++];
+    const Run& b = now[k];
+    if (a.len == b.len &&
+        std::equal(held.begin() + a.begin, held.begin() + a.begin + a.len,
+                   recv.begin() + b.begin)) {
+      rx.match[k] = a.begin;
     } else {
-      t.add(dst);
+      t.add(b.dst);
     }
-    *o = Received::kClaimed;
   }
-  for (std::size_t o = aligned; o < was.size(); ++o) {
-    if (*rx.where.find(was[o].dst) != Received::kClaimed) t.add(was[o].dst);
-  }
-  return true;
+  for (; o < was.size(); ++o) t.add(was[o].dst);
 }
 
 namespace {
@@ -560,32 +534,17 @@ void IdrpNode::apply_update(AdId from, Received& rx, Touched& t) {
   const std::span<const IdrpRoute> recv = rx.table();
   Received::collect_runs(held, rx.held_runs);
   Received::collect_runs(recv, rx.runs);
-  if (in.split || !match_runs(held, rx, t)) {
-    // A destination in two runs: replace the table wholesale. Every
-    // reference into it is void; all its old and new destinations are
-    // reselected.
-    for (const Received::Run& run : rx.held_runs) t.add(run.dst);
-    for (const Received::Run& run : rx.runs) t.add(run.dst);
-    t.reorder = true;
-    resize_table(held, recv.size());
-    std::copy(recv.begin(), recv.end(), held.begin());
-    rx.where.clear();
-    in.split = false;
-    for (const Received::Run& run : rx.runs) {
-      in.split = in.split || !rx.where.try_emplace(run.dst, 0).second;
-    }
-    return;
-  }
+  match_runs(held, rx, t);
   // Copy-assign every run that is not already in place (a held route
   // reuses its own capacity). An unchanged run that moved is not
   // reselected: the loc-RIB references into it are rebased instead.
   resize_table(held, recv.size());
   for (std::size_t k = 0; k < rx.runs.size(); ++k) {
     const Received::Run& run = rx.runs[k];
-    if (const std::uint32_t o = rx.match[k]; o != Received::kNoRun) {
-      const std::uint32_t old_begin = rx.held_runs[o].begin;
+    if (const std::uint32_t old_begin = rx.match[k];
+        old_begin != Received::kNoRun) {
       if (old_begin == run.begin) continue;
-      if (LocEntry* entry = loc_rib_.find(run.dst)) {
+      if (LocEntry* entry = find_loc(run.dst)) {
         for (RouteRef& ref : entry->refs) {
           if (ref.nbr == nbr) ref.idx = ref.idx - old_begin + run.begin;
         }
@@ -594,7 +553,6 @@ void IdrpNode::apply_update(AdId from, Received& rx, Touched& t) {
     std::copy(recv.begin() + run.begin, recv.begin() + run.begin + run.len,
               held.begin() + run.begin);
   }
-  in.split = false;
 }
 
 void IdrpNode::defend_and_keep(AdId from, const IdrpRoute& route,
@@ -681,12 +639,11 @@ void IdrpNode::on_link_change(AdId neighbor, bool up) {
 void IdrpNode::erase_neighbor(AdId neighbor, Touched& touched) {
   const AdjRibIn* in = adj_rib_in_.find(neighbor.v);
   if (!in) return;
-  // erase() swap-moves the last neighbor into the hole: that neighbor's
-  // tie-break position changes and references into it are void, so its
-  // destinations are reselected along with the erased neighbor's.
   touched.add_all(in->routes);
+  // erase() swap-moves the last neighbor into the hole. That voids the
+  // references into it (not its rank: routes rank by AD id), so its
+  // destinations are reselected too.
   touched.add_all(adj_rib_in_.values().back().routes);
-  touched.reorder = true;
   adj_rib_in_.erase(neighbor.v);
 }
 
@@ -717,46 +674,54 @@ void IdrpNode::reselect_and_maybe_advertise(Touched& t) {
     const bool usable = link && topo().link(*link).up;
     if (usable == in.usable) continue;
     in.usable = usable;
+    if (usable) in.delay_ms = topo().link(*link).delay_ms;
     t.add_all(in.routes);
-    t.reorder = true;
   }
+  std::sort(t.dsts.begin(), t.dsts.end());
+  t.dsts.erase(std::unique(t.dsts.begin(), t.dsts.end()), t.dsts.end());
 
   reselected_dsts_ += t.dsts.size();
 
-  // Candidates for the touched destinations, in tie-break order: usable
-  // neighbors in Adj-RIB-in order, each neighbor's routes in order.
+  // Candidates for the touched destinations: both they and every usable
+  // neighbor's table ascend, so one forward binary search per destination
+  // and neighbor finds its routes.
   if (t.cands.size() < t.dsts.size()) t.cands.resize(t.dsts.size());
   for (std::size_t k = 0; k < t.dsts.size(); ++k) t.cands[k].clear();
-  if (!t.dsts.empty()) {
-    for (std::size_t j = 0; j < adj_rib_in_.size(); ++j) {
-      const AdjRibIn& in = adj_rib_in_.value_at(j);
-      if (!in.usable) continue;
-      for (std::size_t i = 0; i < in.routes.size(); ++i) {
-        if (const std::uint32_t* k = t.slot.find(in.routes[i].dst.v)) {
-          t.cands[*k].push_back({static_cast<std::uint32_t>(j),
-                                 static_cast<std::uint32_t>(i)});
-        }
+  for (std::size_t j = 0; j < adj_rib_in_.size() && !t.dsts.empty(); ++j) {
+    const AdjRibIn& in = adj_rib_in_.value_at(j);
+    if (!in.usable || in.routes.empty()) continue;
+    const std::vector<IdrpRoute>& table = in.routes;
+    auto route = table.begin();
+    for (std::size_t k = 0; k < t.dsts.size(); ++k) {
+      route = std::lower_bound(route, table.end(), t.dsts[k], route_by_dst);
+      for (; route != table.end() && route->dst.v == t.dsts[k]; ++route) {
+        t.cands[k].push_back(
+            {static_cast<std::uint32_t>(j),
+             static_cast<std::uint32_t>(route - table.begin())});
       }
     }
   }
 
-  // Keep up to routes_per_dest policy-diverse routes per destination.
-  // Withdrawn destinations keep an empty entry until the reorder below,
-  // so loc-RIB positions stay stable during this loop.
-  t.changed.clear();
-  t.gone.clear();
+  // Rank (path length, cost, link delay to the neighbor, neighbor AD id,
+  // position in its table) and keep up to routes_per_dest policy-diverse
+  // routes per destination. The destinations ascend, so one forward
+  // search finds each entry; entries are erased and inserted afterwards.
+  const auto rank = [this](RouteRef ref) {
+    const IdrpRoute& route = resolve(ref);
+    return std::tuple(route.path.size(), route.attrs.cost,
+                      adj_rib_in_.value_at(ref.nbr).delay_ms,
+                      adj_rib_in_.key_at(ref.nbr), ref.idx);
+  };
+  const SimTime now = net().engine().now();
+  bool withdrawn = false;
+  t.added.clear();
+  auto pos = loc_rib_.begin();
   for (std::size_t k = 0; k < t.dsts.size(); ++k) {
     const std::uint32_t dst = t.dsts[k];
     std::vector<RouteRef>& cands = t.cands[k];
-    std::stable_sort(cands.begin(), cands.end(),
-                     [this](RouteRef a, RouteRef b) {
-                       const IdrpRoute& ra = resolve(a);
-                       const IdrpRoute& rb = resolve(b);
-                       if (ra.path.size() != rb.path.size()) {
-                         return ra.path.size() < rb.path.size();
-                       }
-                       return ra.attrs.cost < rb.attrs.cost;
-                     });
+    std::sort(cands.begin(), cands.end(), [&](RouteRef a, RouteRef b) {
+      return rank(a) < rank(b);
+    });
     t.kept.clear();
     for (const RouteRef cand : cands) {
       if (t.kept.size() >= config_.routes_per_dest) break;
@@ -767,44 +732,51 @@ void IdrpNode::reselect_and_maybe_advertise(Touched& t) {
           });
       if (!redundant) t.kept.push_back(cand);
     }
-    LocEntry* entry = loc_rib_.find(dst);
+    pos = std::lower_bound(pos, loc_rib_.end(), dst, by_dst);
+    LocEntry* entry =
+        pos != loc_rib_.end() && pos->dst == dst ? &*pos : nullptr;
     if (entry) loc_rib_xor_ ^= mix(entry->sig);
+    // One flap per destination whose selected route set changed (any
+    // path/attr change) or disappeared, in ascending destination order; a
+    // destination appearing for the first time is initial learning, not
+    // a flap (RFC 2439 shape).
     if (t.kept.empty()) {
       if (!entry) continue;
-      t.gone.emplace_back(entry - loc_rib_.values().data(), dst);
+      if (damper_.enabled()) damper_.note_flap(dst, now);
       entry->refs.clear();
-      t.reorder = true;
+      withdrawn = true;
       continue;
     }
     const std::uint64_t sig =
         dst_routes_signature(dst, RouteView(this, t.kept));
+    loc_rib_xor_ ^= mix(sig);
     if (!entry) {
-      entry = &loc_rib_[dst];
-      t.reorder = true;
-    } else if (entry->sig != sig) {
-      t.changed.emplace_back(0, dst);
+      t.added.push_back({dst, {t.kept.begin(), t.kept.end()}, sig});
+      continue;
     }
+    if (damper_.enabled() && entry->sig != sig) damper_.note_flap(dst, now);
     entry->refs.assign(t.kept.begin(), t.kept.end());
     entry->sig = sig;
-    loc_rib_xor_ ^= mix(sig);
   }
-  if (t.reorder) reorder_loc_rib();
-
-  if (damper_.enabled()) {
-    // One flap per destination whose selected route set changed (any
-    // path/attr change) or disappeared; a destination appearing for the
-    // first time is initial learning, not a flap (RFC 2439 shape). Noted
-    // in new loc-RIB order, then withdrawals in old loc-RIB order.
-    const SimTime now = net().engine().now();
-    for (auto& [pos, dst] : t.changed) {
-      pos = loc_rib_.find(dst) - loc_rib_.values().data();
+  if (withdrawn) {
+    std::erase_if(loc_rib_,
+                  [](const LocEntry& entry) { return entry.refs.empty(); });
+  }
+  if (!t.added.empty()) {
+    // Merged in from the back. Growth is exact: with geometric growth the
+    // spare capacity of every loc-RIB put ~15% more on the heap of a
+    // converged 1e4-AD internet.
+    std::size_t i = loc_rib_.size();
+    std::size_t j = t.added.size();
+    loc_rib_.reserve(i + j);
+    loc_rib_.resize(i + j);
+    for (std::size_t out = i + j; j > 0;) {
+      loc_rib_[--out] = i > 0 && loc_rib_[i - 1].dst > t.added[j - 1].dst
+                            ? std::move(loc_rib_[--i])
+                            : std::move(t.added[--j]);
     }
-    std::sort(t.changed.begin(), t.changed.end());
-    std::sort(t.gone.begin(), t.gone.end());
-    for (const auto& [pos, dst] : t.changed) damper_.note_flap(dst, now);
-    for (const auto& [pos, dst] : t.gone) damper_.note_flap(dst, now);
-    maybe_schedule_release_check();
   }
+  if (damper_.enabled()) maybe_schedule_release_check();
 
   const std::uint64_t sig = rib_signature();
   if (sig != last_advertised_signature_) {
@@ -813,37 +785,16 @@ void IdrpNode::reselect_and_maybe_advertise(Touched& t) {
   }
 }
 
-void IdrpNode::reorder_loc_rib() {
-  // Encode order, as a full rebuild produces it: self first, then first
-  // appearance over the usable neighbors in Adj-RIB-in order. Entries
-  // move; nothing is reselected or rehashed.
-  DenseMap<std::uint32_t, LocEntry> ordered;
-  ordered.reserve(loc_rib_.size());
-  if (LocEntry* own = loc_rib_.find(self().v)) {
-    ordered.try_emplace(self().v, std::move(*own));
-  }
-  for (const auto [nbr, in] : adj_rib_in_) {
-    if (!in.usable) continue;
-    for (const IdrpRoute& route : in.routes) {
-      LocEntry* entry = loc_rib_.find(route.dst.v);
-      // Empty: withdrawn, or already moved (a moved-from vector is empty).
-      if (!entry || entry->refs.empty()) continue;
-      ordered.try_emplace(route.dst.v, std::move(*entry));
-    }
-  }
-  loc_rib_ = std::move(ordered);
-}
-
 std::uint64_t IdrpNode::rib_signature() const {
   if (!damper_.enabled()) return kRibSignatureSeed ^ loc_rib_xor_;
   const SimTime now = net().engine().now();
   std::uint64_t acc = kRibSignatureSeed;
-  for (const auto [dst, entry] : loc_rib_) {
+  for (const LocEntry& entry : loc_rib_) {
     // Suppressed destinations are omitted from updates, so a change
     // confined to one must not look like an advertisable change -- that
     // is where damping cuts the flap cascade. (Pure query: signatures
     // must not mutate damper state.)
-    if (damper_.would_suppress(dst, now)) continue;
+    if (damper_.would_suppress(entry.dst, now)) continue;
     acc ^= mix(entry.sig);  // order-independent combine across dsts
   }
   return acc;
@@ -899,15 +850,25 @@ const IdrpRoute* IdrpNode::select(const FlowSpec& flow) const {
   return nullptr;
 }
 
+IdrpNode::LocEntry* IdrpNode::find_loc(std::uint32_t dst) {
+  const auto it = std::lower_bound(loc_rib_.begin(), loc_rib_.end(), dst,
+                                   by_dst);
+  return it != loc_rib_.end() && it->dst == dst ? &*it : nullptr;
+}
+
+const IdrpNode::LocEntry* IdrpNode::find_loc(std::uint32_t dst) const {
+  return const_cast<IdrpNode*>(this)->find_loc(dst);
+}
+
 IdrpNode::RouteView IdrpNode::routes(AdId dst) const {
-  const LocEntry* entry = loc_rib_.find(dst.v);
+  const LocEntry* entry = find_loc(dst.v);
   if (!entry) return {this, {}};
   return {this, entry->refs};
 }
 
 std::size_t IdrpNode::loc_rib_routes() const noexcept {
   std::size_t n = 0;
-  for (const auto [dst, entry] : loc_rib_) n += entry.refs.size();
+  for (const LocEntry& entry : loc_rib_) n += entry.refs.size();
   return n;
 }
 

@@ -15,14 +15,15 @@
 //  * Per-neighbor full-table updates with implicit withdrawal (a route
 //    absent from the latest update from a neighbor is gone).
 //
-// The decision process is incremental. An update is decoded into
-// per-thread scratch and diffed against the sender's Adj-RIB-in one
-// destination run at a time; only the destinations whose routes changed,
-// appeared or disappeared are reselected. The loc-RIB holds references
-// into the Adj-RIBs-in, not copies, and the RIB signature is a running
-// XOR of per-destination signatures. The result is exactly what a full
-// rebuild from every Adj-RIB-in would select, in the same order
-// (DESIGN.md, "IDRP decision process").
+// The decision process is incremental. Every update lists its
+// destinations in ascending AD id; it is decoded into per-thread scratch
+// and merged against the sender's Adj-RIB-in one destination run at a
+// time, and only the destinations whose routes changed, appeared or
+// disappeared are reselected. The loc-RIB holds references into the
+// Adj-RIBs-in, not copies, and the RIB signature is a running XOR of
+// per-destination signatures. Both the ranking and the encode order are
+// canonical, so the result depends only on the routes held, never on the
+// order in which they arrived (DESIGN.md, "IDRP decision process").
 #pragma once
 
 #include <cstdint>
@@ -222,17 +223,18 @@ class IdrpNode : public ProtoNode {
   }
 
  private:
-  // One neighbor's Adj-RIB-in: its routes as received, whether they were
-  // usable (link up) at the last reselection, and whether some destination
-  // occupies two separate runs of the table (only a false-origin claim
-  // produces that; such a table is never diffed run by run).
+  // One neighbor's Adj-RIB-in: its routes as received (destinations
+  // ascending, one run each), whether they were usable (link up) at the
+  // last reselection, and the delay of the link to the neighbor (static;
+  // read when it becomes usable), which ranks its routes.
   struct AdjRibIn {
     std::vector<IdrpRoute> routes;
     bool usable = false;
-    bool split = false;
+    double delay_ms = 0.0;
   };
   // One loc-RIB destination: its selected routes and their signature.
   struct LocEntry {
+    std::uint32_t dst;
     std::vector<RouteRef> refs;
     std::uint64_t sig = 0;
   };
@@ -256,10 +258,12 @@ class IdrpNode : public ProtoNode {
   // Brings `from`'s Adj-RIB-in to the received table, touching only the
   // destinations whose run changed, appeared or disappeared.
   void apply_update(AdId from, Received& rx, Touched& touched);
-  static bool match_runs(std::span<const IdrpRoute> held, Received& rx,
+  static void match_runs(std::span<const IdrpRoute> held, Received& rx,
                          Touched& touched);
   void erase_neighbor(AdId neighbor, Touched& touched);
-  void reorder_loc_rib();
+  // The loc-RIB entry for `dst` (binary search), or nullptr.
+  [[nodiscard]] LocEntry* find_loc(std::uint32_t dst);
+  [[nodiscard]] const LocEntry* find_loc(std::uint32_t dst) const;
   void advertise(MsgClass cls = MsgClass::kUpdate);
   void trigger_advertise();
   void schedule_refresh();
@@ -269,10 +273,11 @@ class IdrpNode : public ProtoNode {
   // neighbor consistency and clamps to the sender's registered terms,
   // appending the surviving copies to `rx`.
   void defend_and_keep(AdId from, const IdrpRoute& route, Received& rx);
-  // The full-table update for `neighbor`. Damping suppression is only
-  // queried here; releases happen solely in the release timer. An honest
-  // AD without Policy Terms can re-advertise no transit route, so its
-  // update is its origin route alone and the loc-RIB is not walked.
+  // The full-table update for `neighbor`, destinations ascending. Damping
+  // suppression is only queried here; releases happen solely in the
+  // release timer. An honest AD without Policy Terms can re-advertise no
+  // transit route, so its update is its origin route alone and the
+  // loc-RIB is not walked.
   [[nodiscard]] std::vector<std::uint8_t> encode_for(AdId neighbor) const;
   [[nodiscard]] std::uint64_t rib_signature() const;
 
@@ -286,14 +291,15 @@ class IdrpNode : public ProtoNode {
   // Neighbors whose Adj-RIB-in is graceful-restart stale (retained while
   // the neighbor restarts; awaiting a resync update or the flush timer).
   std::unordered_set<std::uint32_t> stale_nbrs_;
-  // adj-RIB-in per neighbor (dense, insertion ordered: iteration order is
-  // a function of the event sequence only, and is the tie-break order).
+  // Adj-RIB-in per neighbor. A RouteRef names a neighbor by its dense
+  // position here, which ranks nothing: routes rank by the neighbor's AD
+  // id and link delay.
   DenseMap<std::uint32_t, AdjRibIn> adj_rib_in_;
   IdrpRoute origin_;  // our own reachability (empty path), when originating
-  // loc-RIB: selected routes per destination, in encode order -- self
-  // first when originating, then first appearance over the usable
-  // neighbors in Adj-RIB-in order.
-  DenseMap<std::uint32_t, LocEntry> loc_rib_;
+  // loc-RIB: selected routes per destination, sorted by destination (the
+  // encode order; self included when originating). An entry is inserted
+  // or erased only when its destination appears or is withdrawn.
+  std::vector<LocEntry> loc_rib_;
   // XOR of splitmix64(sig) over every loc-RIB entry.
   std::uint64_t loc_rib_xor_ = 0;
   std::uint64_t last_advertised_signature_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "policy/generator.hpp"
 #include "proto/dvsr/dvsr_node.hpp"
@@ -280,8 +281,8 @@ TEST_F(DvsrTest, LimitedToAdvertisedCandidates) {
 // touched are reselected; selected routes are references into the
 // Adj-RIBs-in). Whatever history led to a set of per-neighbor tables,
 // the node must select, order and advertise exactly what a freshly
-// started node fed those tables (in the same neighbor order, under the
-// same link states) would.
+// started node fed those tables (in any neighbor order, under the same
+// link states) would.
 
 // A neighbor stand-in: records the last update it received, sends none.
 class RecorderNode : public ProtoNode {
@@ -301,7 +302,8 @@ constexpr SimTime kQuietMs = 60'000.0;
 
 // The subject links to its neighbors only; every other pair of ADs is
 // linked, so any path over ADs 1..11 passes the defended receiver's
-// adjacency check.
+// adjacency check. The subject's link delays (3, 2, 1, 3, 2 ms) rank the
+// neighbors against their AD ids, with ties left for the id to break.
 Topology history_topology() {
   Topology topo;
   for (std::uint32_t i = 0; i < kAds; ++i) {
@@ -309,7 +311,8 @@ Topology history_topology() {
                 i <= kNeighbors ? AdRole::kTransit : AdRole::kStub);
   }
   for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
-    topo.add_link(kSubject, AdId{n}, LinkClass::kHierarchical);
+    topo.add_link(kSubject, AdId{n}, LinkClass::kHierarchical,
+                  static_cast<double>(1 + (2 * n) % 3));
   }
   for (std::uint32_t a = 1; a < kAds; ++a) {
     for (std::uint32_t b = a + 1; b < kAds; ++b) {
@@ -323,9 +326,7 @@ LinkId link_to(const Topology& topo, std::uint32_t n) {
   return *topo.find_link(kSubject, AdId{n});
 }
 
-// The subject's Adj-RIB-in as the test expects it: DenseMap has the same
-// insertion and swap-erase order, so a fresh node can be fed the tables
-// in the subject's neighbor order.
+// The subject's Adj-RIB-in as the test expects it, by neighbor.
 using Tables = DenseMap<std::uint32_t, std::vector<IdrpRoute>>;
 
 // The subject node under test with recorder neighbors, GR and the crash
@@ -436,15 +437,14 @@ std::vector<IdrpRoute> random_run(Prng& rng, AdId from, AdId dst,
   return run;
 }
 
-// Random table from `from`: random destination subset in random order,
-// one run each.
+// Random table from `from`: random destination subset, ascending, one
+// run each.
 std::vector<IdrpRoute> random_table(Prng& rng, AdId from,
                                     bool valid = false) {
   std::vector<AdId> dsts;
   for (std::uint32_t d = 1; d < kAds; ++d) {
     if (rng.bernoulli(0.6)) dsts.push_back(AdId{d});
   }
-  std::shuffle(dsts.begin(), dsts.end(), rng);
   std::vector<IdrpRoute> table;
   for (AdId dst : dsts) {
     for (IdrpRoute& route : random_run(rng, from, dst, valid)) {
@@ -487,10 +487,10 @@ std::vector<IdrpRoute> selected(const IdrpNode& node, AdId dst) {
 }
 
 // The documented decision, computed from scratch as a full rebuild does:
-// per destination, the routes of the usable (link up) neighbors in
-// table order, stably sorted by (path length, cost), keeping up to
-// routes_per_dest routes that no kept route covers. Destinations come in
-// first-appearance order.
+// per destination, the routes of the usable (link up) neighbors sorted by
+// (path length, cost, link delay to the neighbor, neighbor AD id,
+// position in its table), keeping up to routes_per_dest routes that no
+// kept route covers. Destinations come in ascending order.
 struct ReferenceDecision {
   std::vector<AdId> order;
   std::vector<std::vector<IdrpRoute>> routes;  // by dst id
@@ -498,25 +498,25 @@ struct ReferenceDecision {
 
 ReferenceDecision reference_decision(const HistoryRig& rig,
                                      const Tables& tables) {
-  DenseMap<std::uint32_t, std::vector<const IdrpRoute*>> candidates;
+  using Key = std::tuple<std::size_t, std::uint32_t, double, std::uint32_t,
+                         std::size_t>;
+  std::vector<std::vector<std::pair<Key, const IdrpRoute*>>> candidates(kAds);
   for (const auto [n, table] : tables) {
     if (!rig.link_up(n)) continue;
-    for (const IdrpRoute& route : table) {
-      candidates[route.dst.v].push_back(&route);
+    const double delay = rig.topo.link(link_to(rig.topo, n)).delay_ms;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const IdrpRoute& route = table[i];
+      candidates[route.dst.v].emplace_back(
+          Key{route.path.size(), route.attrs.cost, delay, n, i}, &route);
     }
   }
   ReferenceDecision ref;
   ref.routes.resize(kAds);
-  for (auto [dst, cands] : candidates) {
-    std::stable_sort(cands.begin(), cands.end(),
-                     [](const IdrpRoute* a, const IdrpRoute* b) {
-                       if (a->path.size() != b->path.size()) {
-                         return a->path.size() < b->path.size();
-                       }
-                       return a->attrs.cost < b->attrs.cost;
-                     });
+  for (std::uint32_t dst = 0; dst < kAds; ++dst) {
+    auto& cands = candidates[dst];
+    std::sort(cands.begin(), cands.end());
     std::vector<IdrpRoute>& kept = ref.routes[dst];
-    for (const IdrpRoute* cand : cands) {
+    for (const auto& [key, cand] : cands) {
       if (kept.size() >= 2) break;  // HistoryRig's routes_per_dest
       if (std::none_of(kept.begin(), kept.end(), [&](const IdrpRoute& k) {
             return k.attrs.covers(cand->attrs);
@@ -524,7 +524,7 @@ ReferenceDecision reference_decision(const HistoryRig& rig,
         kept.push_back(*cand);
       }
     }
-    ref.order.push_back(AdId{dst});
+    if (!kept.empty()) ref.order.push_back(AdId{dst});
   }
   return ref;
 }
@@ -546,15 +546,19 @@ std::vector<AdId> update_dsts(const std::vector<std::uint8_t>& update) {
 }
 
 // Checks the subject against the reference decision and against a fresh
-// node fed `tables` under the same link states. Updates are compared only
-// when damping cannot make them differ: with damping off, or after a
-// quiet period.
+// node fed `tables` under the same link states, in a neighbor order
+// shuffled by `order_seed`. Updates are compared only when damping cannot
+// make them differ: with damping off, or after a quiet period.
 void expect_same_decision(HistoryRig& churned, const Tables& tables,
                           const PolicySet& policies, bool damping,
-                          AdId crashed) {
+                          AdId crashed, std::uint64_t order_seed) {
   const ReferenceDecision ref = reference_decision(churned, tables);
   HistoryRig fresh(churned.topo, policies, damping, churned.defend);
-  for (const auto [n, table] : tables) fresh.feed(AdId{n}, table);
+  std::vector<std::uint32_t> order(tables.keys().begin(),
+                                   tables.keys().end());
+  Prng shuffle(order_seed);
+  std::shuffle(order.begin(), order.end(), shuffle);
+  for (const std::uint32_t n : order) fresh.feed(AdId{n}, *tables.find(n));
   if (damping) fresh.advance(kQuietMs);
   EXPECT_EQ(churned.subject->adj_rib_routes(),
             fresh.subject->adj_rib_routes());
@@ -570,8 +574,8 @@ void expect_same_decision(HistoryRig& churned, const Tables& tables,
     if (AdId{n} == crashed || !churned.link_up(n)) continue;
     const std::vector<std::uint8_t> update = churned.next_update(AdId{n});
     EXPECT_EQ(update, fresh.next_update(AdId{n})) << "update to " << n;
-    // Encode order: self first, then the reference order (restricted to
-    // the destinations this neighbor is sent).
+    // Encode order: ascending, so self (AD 0) first, then the reference
+    // order (restricted to the destinations this neighbor is sent).
     const std::vector<AdId> sent = update_dsts(update);
     std::vector<AdId> expected{kSubject};
     for (AdId dst : ref.order) {
@@ -600,7 +604,7 @@ void run_history(std::uint64_t seed, bool damping, bool defend = false) {
     const bool has_table =
         alive && up && tables.contains(n) && !tables.find(n)->empty();
     if (op <= 3 && alive && up) {
-      // A new table: grows, shrinks and reorders destinations.
+      // A new table: grows and shrinks runs, adds and drops destinations.
       std::vector<IdrpRoute> table = random_table(rng, nbr, defend);
       churned.feed(nbr, table);
       tables[n] = std::move(table);
@@ -637,7 +641,19 @@ void run_history(std::uint64_t seed, bool damping, bool defend = false) {
       flush_at = churned.engine.now() + kGraceMs + 0.1;
     } else if (op == 8 && alive && up && tables.contains(n)) {
       churned.feed(nbr, *tables.find(n));  // identical re-send
-    } else if (op >= 9 && op <= 12 && has_table) {
+    } else if (op == 10 && has_table && runs_of(*tables.find(n)).size() > 1) {
+      // Two destinations' runs swapped: the table descends, so it is
+      // dropped as malformed and the held one stays.
+      const std::vector<IdrpRoute>& table = *tables.find(n);
+      const auto runs = runs_of(table);
+      const std::size_t r = rng.below(runs.size());
+      const std::size_t other =
+          (r + 1 + rng.below(runs.size() - 1)) % runs.size();
+      const std::uint64_t dropped =
+          churned.net.counters(kSubject).malformed_dropped;
+      churned.feed(nbr, swap_runs(table, r, other));
+      EXPECT_EQ(churned.net.counters(kSubject).malformed_dropped, dropped + 1);
+    } else if ((op == 9 || op == 11 || op == 12) && has_table) {
       // One destination's run edited, the rest of the table as it was:
       // later runs shift, but only the edited destinations change.
       std::vector<IdrpRoute> table = *tables.find(n);
@@ -655,15 +671,10 @@ void run_history(std::uint64_t seed, bool damping, bool defend = false) {
           table.insert(at(begin + rng.below(end - begin + 1)),
                        random_route(rng, nbr, table[begin].dst, defend));
         }
-      } else if (op == 10 && runs.size() > 1) {
-        // Swap two destinations' runs.
-        const std::size_t other = (r + 1 + rng.below(runs.size() - 1)) %
-                                  runs.size();
-        table = swap_runs(table, r, other);
       } else if (op == 11) {
         table.erase(at(begin), at(end));  // drop one destination
-      } else if (op == 12) {
-        // Add one destination, at a run boundary.
+      } else {
+        // Add one destination, at its ascending place.
         std::vector<AdId> absent;
         for (std::uint32_t d = 1; d < kAds; ++d) {
           if (std::none_of(table.begin(), table.end(),
@@ -672,10 +683,14 @@ void run_history(std::uint64_t seed, bool damping, bool defend = false) {
           }
         }
         if (!absent.empty()) {
+          const AdId dst = absent[rng.below(absent.size())];
           const std::vector<IdrpRoute> run =
-              random_run(rng, nbr, absent[rng.below(absent.size())], defend);
-          table.insert(at(rng.bernoulli(0.5) ? begin : end), run.begin(),
-                       run.end());
+              random_run(rng, nbr, dst, defend);
+          table.insert(std::partition_point(table.begin(), table.end(),
+                                            [&](const IdrpRoute& x) {
+                                              return x.dst.v < dst.v;
+                                            }),
+                       run.begin(), run.end());
         }
       }
       churned.feed(nbr, table);
@@ -704,7 +719,8 @@ void run_history(std::uint64_t seed, bool damping, bool defend = false) {
         churned.feed(AdId{m}, table);
         break;
       }
-      expect_same_decision(churned, tables, policies, damping, crashed);
+      expect_same_decision(churned, tables, policies, damping, crashed,
+                           seed * 1000 + static_cast<std::uint64_t>(step));
     }
   }
   churned.advance(kGraceMs + 1.0);
@@ -718,7 +734,8 @@ void run_history(std::uint64_t seed, bool damping, bool defend = false) {
   }
   for (const auto [n, table] : tables) churned.feed(AdId{n}, table);
   churned.advance(kQuietMs);
-  expect_same_decision(churned, tables, policies, damping, crashed);
+  expect_same_decision(churned, tables, policies, damping, crashed,
+                       seed * 1000);
 }
 
 TEST(IdrpIncremental, DecisionIsIndependentOfHistory) {
@@ -767,8 +784,8 @@ Observed observe(HistoryRig& rig) {
 
 // A malformed update is dropped whole: the scratch it was decoded into
 // never reaches the Adj-RIB-in, whether the bad bytes come at the end or
-// in the middle, and whether the decoded prefix matches the held table
-// or not.
+// in the middle, whether the destinations descend, and whether the
+// decoded prefix matches the held table or not.
 TEST(IdrpIncremental, MalformedUpdateLeavesStateUntouched) {
   const Topology topo = history_topology();
   const PolicySet policies = make_open_policies(topo);
@@ -810,9 +827,15 @@ TEST(IdrpIncremental, MalformedUpdateLeavesStateUntouched) {
       }
       return std::move(w).take();
     };
+    // The update with its first and last destinations exchanged: well
+    // formed route by route, but the destinations descend.
+    const auto descending = [](const std::vector<IdrpRoute>& table) {
+      return HistoryRig::encode_update(
+          swap_runs(table, 0, runs_of(table).size() - 1));
+    };
     const std::vector<std::vector<std::uint8_t>> malformed = {
-        truncated(valid), undecodable(valid), truncated(other),
-        undecodable(other)};
+        truncated(valid),  undecodable(valid), descending(valid),
+        truncated(other),  undecodable(other), descending(other)};
     for (std::size_t m = 0; m < malformed.size(); ++m) {
       SCOPED_TRACE(m);
       const std::uint64_t dropped =
@@ -858,33 +881,43 @@ TEST(IdrpIncremental, ReselectsOnlyChangedDestinations) {
     rig.feed(from, next);
     tables[from.v] = next;
     EXPECT_EQ(rig.subject->reselected_dsts() - before, expected);
-    expect_same_decision(rig, tables, policies, /*damping=*/false, kNoAd);
+    expect_same_decision(rig, tables, policies, /*damping=*/false, kNoAd,
+                         rig.subject->reselected_dsts());
   };
   // A second route for the second destination: every later run moves.
   // This used to replace the whole table and reselect all of it.
   table.insert(table.begin() + 2,
                random_route(rng, from, table[1].dst, /*valid=*/true));
   expect_reselected(table, 1);
-  // The same routes in another destination order: nothing to reselect.
-  table = swap_runs(table, 0, runs_of(table).size() - 1);
-  expect_reselected(table, 0);
+  // The same routes in another destination order: malformed, dropped,
+  // nothing reselected.
+  const std::uint64_t dropped = rig.net.counters(kSubject).malformed_dropped;
+  const std::uint64_t before = rig.subject->reselected_dsts();
+  rig.feed(from, swap_runs(table, 0, runs_of(table).size() - 1));
+  EXPECT_EQ(rig.net.counters(kSubject).malformed_dropped, dropped + 1);
+  EXPECT_EQ(rig.subject->reselected_dsts(), before);
+  expect_same_decision(rig, tables, policies, /*damping=*/false, kNoAd, 1);
   table.erase(table.begin());  // one destination fewer
   expect_reselected(table, 1);
-  table.push_back(random_route(rng, from, AdId{2}, true));  // one more
+  // One more, ahead of the rest.
+  table.insert(table.begin(), random_route(rng, from, AdId{2}, true));
   expect_reselected(table, 1);
   expect_reselected(table, 0);  // an identical re-send
 }
 
 // Every change to the selected routes reaches the neighbors: after each
 // update, what a neighbor last received is what it would be sent now.
+// (A loc-RIB ordered by first appearance over the neighbors once changed
+// its order alone without advertising it; with these tables that first
+// happens at step 503.)
 TEST(IdrpIncremental, AdvertisesEveryChange) {
   const Topology topo = history_topology();
   const PolicySet policies = make_open_policies(topo);
   Prng rng(42);
   HistoryRig rig(topo, policies, /*damping=*/false);
-  for (int step = 0; step < 100; ++step) {
+  for (int step = 0; step < 600; ++step) {
     const AdId nbr{static_cast<std::uint32_t>(rng.uniform(1, kNeighbors))};
-    rig.feed(nbr, random_table(rng, nbr));
+    rig.feed(nbr, random_table(rng, nbr, /*valid=*/true));
     rig.advance(10.0);
     for (std::uint32_t n = 1; n <= kNeighbors; ++n) {
       const std::vector<std::uint8_t> sent = rig.recorders[n - 1]->last;
